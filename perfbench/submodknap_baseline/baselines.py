@@ -1,0 +1,123 @@
+"""Exact small-instance optimum and simple comparison baselines."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+BRUTE_FORCE_CAP = 24
+
+
+def brute_force_opt(objective, instance, cap=BRUTE_FORCE_CAP):
+    """Exact maximizer of ``objective`` over budget-feasible sets.
+
+    Depth-first enumeration over ascending ids, descending only into branches
+    where at least one remaining element still fits the residual budget.
+    Takes a raw objective on purpose: the enumeration never touches a
+    QueryLedger, so test-harness sweeps cannot pollute algorithm counters.
+    Ties are resolved toward the lexicographically smallest id tuple, which
+    is the first one visited.
+
+    Returns ``(ids, value)``.
+    """
+    n = instance.n
+    if n > cap:
+        raise ValueError(f"brute force capped at {cap} elements, got {n}")
+    costs = instance.costs
+    budget = instance.budget
+
+    # cheapest remaining element from each suffix, for descent pruning
+    suffix_min = np.full(n + 1, np.inf)
+    for j in range(n - 1, -1, -1):
+        suffix_min[j] = min(costs[j], suffix_min[j + 1])
+
+    best_value = objective(np.empty(0, dtype=np.intp))
+    best_set = ()
+    chosen = []
+
+    def descend(start, used):
+        nonlocal best_value, best_set
+        if chosen:
+            value = objective(np.asarray(chosen, dtype=np.intp))
+            if value > best_value:
+                best_value = value
+                best_set = tuple(chosen)
+        residual = budget - used
+        if residual < suffix_min[start]:
+            return
+        for j in range(start, n):
+            if used + costs[j] <= budget:
+                chosen.append(j)
+                descend(j + 1, used + costs[j])
+                chosen.pop()
+
+    descend(0, 0.0)
+    return best_set, float(best_value)
+
+
+@dataclass
+class GreedyTrace:
+    """Selection order, final value, and first-round singleton values of a
+    density-greedy run."""
+
+    order: tuple
+    value: float
+    singleton_values: dict
+
+
+def density_greedy_trace(oracle, instance):
+    """Run density greedy and keep the details the estimator needs.
+
+    Each step issues one marginal batch over the still-affordable elements
+    and adds the feasible element with the largest marginal-gain-per-cost
+    among those with strictly positive marginal gain (ties: lowest id).
+    Stops when no such element remains.
+    """
+    costs = instance.costs
+    budget = instance.budget
+    selected = []
+    used = 0.0
+    value = 0.0
+    singles = {}
+    remaining = [e for e in range(instance.n) if costs[e] <= budget]
+    first_round = True
+    while True:
+        fits = [e for e in remaining if used + costs[e] <= budget]
+        if not fits:
+            break
+        gains = oracle.marginal_batch(selected, fits)
+        if first_round:
+            singles = dict(zip(fits, gains))
+            first_round = False
+        best = None
+        best_density = 0.0
+        for e, gain in zip(fits, gains):
+            if gain <= 0.0:
+                continue
+            density = gain / costs[e]
+            if best is None or density > best_density:
+                best, best_density = e, density
+        if best is None:
+            break
+        selected.append(best)
+        remaining.remove(best)
+        used += costs[best]
+        value += gains[fits.index(best)]
+    return GreedyTrace(tuple(selected), float(value), singles)
+
+
+def density_greedy(oracle, instance):
+    """Density-greedy baseline; returns the selected ids in pick order."""
+    return density_greedy_trace(oracle, instance).order
+
+
+def random_feasible(instance, rng):
+    """Walk a random permutation, keeping every element that still fits."""
+    kept = []
+    used = 0.0
+    for e in rng.permutation(instance.n).tolist():
+        if used + instance.costs[e] <= instance.budget:
+            kept.append(e)
+            used += instance.costs[e]
+    return tuple(kept)

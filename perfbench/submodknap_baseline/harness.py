@@ -1,0 +1,707 @@
+"""Experiment harness: instance building, sweeps, CSV/SVG output, and CLI.
+
+Subcommands
+-----------
+run          one algorithm/objective sweep over budget fractions
+sweep        the same grid for several algorithms at once
+verify       small-instance ratio suite against the brute-force optimum
+bench-rounds adaptivity scaling suite over growing ground sets
+
+``verify`` and ``bench-rounds`` exit nonzero when their checks fail so CI can
+gate on them.  All runs are deterministic given the seed; per-trial generators
+are derived from (seed, trial).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import sys
+import time
+from dataclasses import dataclass, replace
+from xml.sax.saxutils import escape
+
+import numpy as np
+
+from .alternating import AstConfig, ast
+from .baselines import brute_force_opt, density_greedy, random_feasible
+from .core import CountingOracle, KnapsackInstance
+from .estimator import ESTIMATORS
+from .objectives import (
+    CutObjective,
+    ImageSummaryObjective,
+    ModularObjective,
+    RevenueObjective,
+    SumObjective,
+    gen_erdos_renyi,
+    load_edge_list,
+    load_features,
+    revenue_costs,
+)
+
+ALGORITHMS = ("ast", "density_greedy", "random_feasible")
+OBJECTIVES = ("revenue", "cut", "image_summ")
+
+DEFAULT_BUDGET_FRACTIONS = tuple(np.linspace(0.125, 1.0, 8).round(6).tolist())
+
+CSV_HEADER = (
+    "algorithm,objective,n,budget_fraction,B,epsilon,delta,seed,trial,"
+    "f_value,total_queries,adaptive_rounds_ast,adaptive_rounds_estimator,wall_ms"
+)
+
+
+@dataclass(frozen=True)
+class GenerateSource:
+    n: int
+    p: float
+    seed: int
+
+
+@dataclass(frozen=True)
+class FileSource:
+    path: str
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    algorithm: str
+    objective: str
+    source: object
+    budget_fractions: tuple = DEFAULT_BUDGET_FRACTIONS
+    trials: int = 1
+    config: AstConfig = AstConfig()
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm: {self.algorithm!r}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective: {self.objective!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        fractions = tuple(sorted(float(f) for f in self.budget_fractions))
+        if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
+            raise ValueError("budget fractions must lie in (0, 1]")
+        # canonical ascending order so record layout never depends on input order
+        object.__setattr__(self, "budget_fractions", fractions)
+
+
+@dataclass(frozen=True)
+class ExperimentRecord:
+    algorithm: str
+    objective: str
+    n: int
+    budget_fraction: float
+    B: float
+    epsilon: float
+    delta: float
+    seed: int
+    trial: int
+    f_value: float
+    total_queries: int
+    adaptive_rounds_ast: int
+    adaptive_rounds_estimator: int
+    wall_ms: float
+
+
+def _trial_seed(base_seed, trial):
+    """Canonical derivation of one trial's generator seed."""
+    return int(np.random.SeedSequence([int(base_seed), int(trial)]).generate_state(1)[0])
+
+
+def build_objective(spec):
+    """Materialize the objective and element costs for a spec.
+
+    Returns ``(objective, costs)``.  Generated cut instances carry the
+    generator's node costs; revenue costs come from local edge mass; loaded
+    graphs and feature sets without their own costs draw them uniformly from
+    (0, 1) using the spec's seed.
+    """
+    source = spec.source
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(spec.config.seed), 0x5EED])
+    )
+    if spec.objective == "image_summ":
+        if isinstance(source, FileSource):
+            matrix = load_features(source.path)
+        else:
+            feats = np.random.default_rng(source.seed).random((source.n, 64))
+            unit = feats / np.linalg.norm(feats, axis=1)[:, None]
+            sim = np.clip((unit @ unit.T + (unit @ unit.T).T) / 2.0, -1.0, 1.0)
+            np.fill_diagonal(sim, 1.0)
+            from .objectives import SimilarityMatrix
+
+            matrix = SimilarityMatrix(sim)
+        costs = _positive_uniform(rng, matrix.n)
+        return ImageSummaryObjective(matrix), costs
+
+    if isinstance(source, FileSource):
+        graph = load_edge_list(source.path)
+    else:
+        graph = gen_erdos_renyi(source.n, source.p, source.seed)
+
+    if spec.objective == "revenue":
+        return RevenueObjective(graph), revenue_costs(graph)
+    costs = graph.node_costs
+    if costs is None:
+        costs = _positive_uniform(rng, graph.n)
+    return CutObjective(graph), costs
+
+
+def _positive_uniform(rng, size):
+    vals = rng.random(size)
+    while np.any(vals == 0.0):
+        vals[vals == 0.0] = rng.random(int((vals == 0.0).sum()))
+    return vals
+
+
+def _run_single(spec, objective, instance, trial):
+    """One (fraction, trial) cell: run the algorithm, return its counters."""
+    derived = _trial_seed(spec.config.seed, trial)
+    oracle = CountingOracle(objective)
+    if spec.algorithm == "ast":
+        result = ast(oracle, instance, replace(spec.config, seed=derived))
+        return (
+            result.value,
+            oracle.ledger.total_queries,
+            result.ast_rounds,
+            result.estimator_rounds,
+        )
+    if spec.algorithm == "density_greedy":
+        selected = density_greedy(oracle, instance)
+        value = objective(np.asarray(selected, dtype=np.intp))
+        return value, oracle.ledger.total_queries, oracle.ledger.adaptive_rounds, 0
+    selected = random_feasible(instance, np.random.default_rng(derived))
+    value = objective(np.asarray(selected, dtype=np.intp))
+    return value, 0, 0, 0
+
+
+def run_experiment(spec, clock=time.perf_counter):
+    """Run a spec: one record per (budget fraction, trial).
+
+    Deterministic given the spec (records are bit-identical across repeats,
+    including wall time when a deterministic ``clock`` is injected).
+    """
+    objective, costs = build_objective(spec)
+    total = float(np.sort(costs).sum())
+    records = []
+    for fraction in spec.budget_fractions:
+        instance = KnapsackInstance(costs, fraction * total)
+        for trial in range(spec.trials):
+            t0 = clock()
+            value, queries, rounds_alg, rounds_est = _run_single(
+                spec, objective, instance, trial
+            )
+            t1 = clock()
+            records.append(
+                ExperimentRecord(
+                    algorithm=spec.algorithm,
+                    objective=spec.objective,
+                    n=instance.n,
+                    budget_fraction=float(fraction),
+                    B=instance.budget,
+                    epsilon=spec.config.epsilon,
+                    delta=spec.config.delta,
+                    seed=spec.config.seed,
+                    trial=trial,
+                    f_value=float(value),
+                    total_queries=int(queries),
+                    adaptive_rounds_ast=int(rounds_alg),
+                    adaptive_rounds_estimator=int(rounds_est),
+                    wall_ms=(t1 - t0) * 1000.0,
+                )
+            )
+    return records
+
+
+def write_csv(records, path):
+    """Write records with the canonical header; floats use repr so a
+    round-trip through :func:`read_csv` reproduces them exactly."""
+    if not records:
+        raise ValueError("no records to write")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(CSV_HEADER + "\n")
+        for rec in records:
+            row = [
+                rec.algorithm,
+                rec.objective,
+                str(rec.n),
+                repr(rec.budget_fraction),
+                repr(rec.B),
+                repr(rec.epsilon),
+                repr(rec.delta),
+                str(rec.seed),
+                str(rec.trial),
+                repr(rec.f_value),
+                str(rec.total_queries),
+                str(rec.adaptive_rounds_ast),
+                str(rec.adaptive_rounds_estimator),
+                repr(rec.wall_ms),
+            ]
+            handle.write(",".join(row) + "\n")
+
+
+def read_csv(path):
+    """Parse a CSV produced by :func:`write_csv` back into records."""
+    records = []
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames != CSV_HEADER.split(","):
+            raise ValueError(f"{path}: unexpected CSV header")
+        for row in reader:
+            records.append(
+                ExperimentRecord(
+                    algorithm=row["algorithm"],
+                    objective=row["objective"],
+                    n=int(row["n"]),
+                    budget_fraction=float(row["budget_fraction"]),
+                    B=float(row["B"]),
+                    epsilon=float(row["epsilon"]),
+                    delta=float(row["delta"]),
+                    seed=int(row["seed"]),
+                    trial=int(row["trial"]),
+                    f_value=float(row["f_value"]),
+                    total_queries=int(row["total_queries"]),
+                    adaptive_rounds_ast=int(row["adaptive_rounds_ast"]),
+                    adaptive_rounds_estimator=int(row["adaptive_rounds_estimator"]),
+                    wall_ms=float(row["wall_ms"]),
+                )
+            )
+    return records
+
+
+_SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+
+
+def write_svg_plot(records, path, y_axis="value"):
+    """Render a value-vs-budget or rounds-vs-budget line chart as SVG.
+
+    One series per algorithm; points are trial means per budget fraction.
+    Series with a single distinct fraction render as points only.
+    """
+    if not records:
+        raise ValueError("no records to plot")
+    if y_axis not in ("value", "rounds"):
+        raise ValueError("y_axis must be 'value' or 'rounds'")
+
+    def metric(rec):
+        if y_axis == "value":
+            return rec.f_value
+        return float(rec.adaptive_rounds_ast + rec.adaptive_rounds_estimator)
+
+    series = {}
+    for rec in records:
+        series.setdefault(rec.algorithm, {}).setdefault(rec.budget_fraction, []).append(
+            metric(rec)
+        )
+    for alg, by_frac in series.items():
+        series[alg] = sorted((f, float(np.mean(vs))) for f, vs in by_frac.items())
+
+    width, height = 640, 440
+    left, right, top, bottom = 70, 20, 30, 50
+    plot_w, plot_h = width - left - right, height - top - bottom
+    xs = [f for pts in series.values() for f, _ in pts]
+    ys = [v for pts in series.values() for _, v in pts]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys + [0.0]), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    def px(x):
+        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
+        f'y2="{top + plot_h}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
+    ]
+    for tick in np.linspace(x_lo, x_hi, 5):
+        x = px(tick)
+        parts.append(
+            f'<line x1="{x:.1f}" y1="{top + plot_h}" x2="{x:.1f}" '
+            f'y2="{top + plot_h + 5}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{x:.1f}" y="{top + plot_h + 20}" font-size="11" '
+            f'text-anchor="middle">{tick:.3g}</text>'
+        )
+    for tick in np.linspace(y_lo, y_hi, 5):
+        y = py(tick)
+        parts.append(
+            f'<line x1="{left - 5}" y1="{y:.1f}" x2="{left}" y2="{y:.1f}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{left - 8}" y="{y + 4:.1f}" font-size="11" '
+            f'text-anchor="end">{tick:.4g}</text>'
+        )
+    y_label = "objective value" if y_axis == "value" else "adaptive rounds"
+    parts.append(
+        f'<text x="{left + plot_w / 2:.1f}" y="{height - 12}" font-size="12" '
+        f'text-anchor="middle">budget fraction</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{top + plot_h / 2:.1f}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{escape(y_label)}</text>'
+    )
+    for idx, (alg, pts) in enumerate(sorted(series.items())):
+        color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
+        if len(pts) > 1:
+            coords = " ".join(f"{px(f):.1f},{py(v):.1f}" for f, v in pts)
+            parts.append(
+                f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                f'stroke-width="1.5"/>'
+            )
+        for f, v in pts:
+            parts.append(
+                f'<circle cx="{px(f):.1f}" cy="{py(v):.1f}" r="3" fill="{color}"/>'
+            )
+        ly = top + 14 + idx * 16
+        parts.append(
+            f'<line x1="{left + plot_w - 110}" y1="{ly - 4}" x2="{left + plot_w - 90}" '
+            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{left + plot_w - 84}" y="{ly}" font-size="11">{escape(alg)}</text>'
+        )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(parts) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# verification suites
+# ---------------------------------------------------------------------------
+
+# (objective family, n, budget fraction) cells covering three ground-set
+# sizes, three objective families, and three budget levels
+RATIO_INSTANCES = (
+    ("cut", 10, 0.2),
+    ("cut", 12, 0.4),
+    ("cut", 14, 0.6),
+    ("cut", 12, 0.6),
+    ("revenue", 10, 0.4),
+    ("revenue", 12, 0.6),
+    ("revenue", 14, 0.2),
+    ("revenue", 14, 0.4),
+    ("mixture", 10, 0.6),
+    ("mixture", 12, 0.2),
+    ("mixture", 14, 0.4),
+    ("mixture", 10, 0.2),
+)
+
+RATIO_FLOOR = 1.0 / 7.0 - 0.1
+CONFIDENCE_Z = 2.326  # one-sided 99%
+
+
+def _ratio_objective(kind, n, index):
+    if kind == "cut":
+        graph = gen_erdos_renyi(n, 0.5, seed=40 + index)
+        return CutObjective(graph), graph.node_costs
+    if kind == "revenue":
+        graph = gen_erdos_renyi(n, 0.5, seed=40 + index)
+        return RevenueObjective(graph), revenue_costs(graph)
+    graph = gen_erdos_renyi(n, 0.4, seed=40 + index)
+    values = 0.5 + np.random.default_rng(70 + index).random(n)
+    objective = SumObjective(ModularObjective(values), CutObjective(graph))
+    return objective, graph.node_costs
+
+
+def ratio_verification(trials=200, base_seed=0, instances=RATIO_INSTANCES):
+    """Mean solution quality against the exact optimum on small instances.
+
+    For each instance, runs the solver across seeded trials and checks that
+    the mean of ``value / OPT`` clears ``1/7 - 0.1`` with one-sided 99%
+    confidence.  Returns a list of per-instance report dicts.
+    """
+    reports = []
+    for index, (kind, n, fraction) in enumerate(instances):
+        objective, costs = _ratio_objective(kind, n, index)
+        total = float(np.sort(costs).sum())
+        instance = KnapsackInstance(costs, fraction * total)
+        _, opt = brute_force_opt(objective, instance)
+        ratios = np.empty(trials)
+        for t in range(trials):
+            oracle = CountingOracle(objective)
+            config = AstConfig(seed=_trial_seed(base_seed + index, t))
+            result = ast(oracle, instance, config)
+            if not instance.feasible(result.solution):
+                raise AssertionError("infeasible solution in ratio suite")
+            ratios[t] = result.value / opt
+        slack = CONFIDENCE_Z * ratios.std(ddof=1) / np.sqrt(trials)
+        reports.append(
+            {
+                "objective": kind,
+                "n": n,
+                "budget_fraction": fraction,
+                "opt": opt,
+                "mean_ratio": float(ratios.mean()),
+                "min_ratio": float(ratios.min()),
+                "slack": float(slack),
+                "floor": RATIO_FLOOR,
+                "passed": bool(ratios.mean() - slack >= RATIO_FLOOR),
+            }
+        )
+    return reports
+
+
+def adaptivity_bench(
+    sizes=(64, 256, 1024, 4096),
+    budget=8.0,
+    avg_degree=20.0,
+    seeds=(0, 1, 2),
+    base_seed=100,
+):
+    """Adaptive-round growth across ground-set sizes.
+
+    Holds the budget constant while the ground set grows, so the measured
+    depth reflects the algorithm's scheduling rather than the solution size.
+    Fits mean rounds against ``ln n`` and reports the fit quality and the
+    largest-to-smallest round ratio.
+    """
+    mean_rounds = []
+    detail = {}
+    for n in sizes:
+        p = min(1.0, avg_degree / n)
+        rounds = []
+        for s in seeds:
+            graph = gen_erdos_renyi(n, p, seed=base_seed + s)
+            instance = KnapsackInstance(graph.node_costs, budget)
+            oracle = CountingOracle(CutObjective(graph))
+            result = ast(oracle, instance, AstConfig(seed=s))
+            rounds.append(result.ast_rounds)
+        detail[n] = rounds
+        mean_rounds.append(float(np.mean(rounds)))
+    log_n = np.log(np.asarray(sizes, dtype=np.float64))
+    ys = np.asarray(mean_rounds)
+    slope, intercept = np.polyfit(log_n, ys, 1)
+    predicted = slope * log_n + intercept
+    ss_res = float(((ys - predicted) ** 2).sum())
+    ss_tot = float(((ys - ys.mean()) ** 2).sum())
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    ratio = mean_rounds[-1] / mean_rounds[0]
+    return {
+        "sizes": tuple(sizes),
+        "mean_rounds": tuple(mean_rounds),
+        "rounds_detail": detail,
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "r_squared": float(r_squared),
+        "round_ratio": float(ratio),
+        "passed": bool(r_squared >= 0.9 and ratio <= 4.0),
+    }
+
+
+# ---------------------------------------------------------------------------
+# CLI
+# ---------------------------------------------------------------------------
+
+
+def parse_config_file(path):
+    """Flat ``key = value`` settings; '#' starts a comment."""
+    values = {}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            values[key.strip().replace("-", "_")] = value.strip()
+    return values
+
+
+def _parse_fractions(text):
+    return tuple(float(x) for x in str(text).split(",") if x.strip())
+
+
+def _add_common_options(sub):
+    sub.add_argument("--config", help="flat key = value settings file")
+    sub.add_argument("--objective", choices=OBJECTIVES)
+    sub.add_argument("--graph", help="edge-list file for graph objectives")
+    sub.add_argument("--features", help="feature CSV for image_summ")
+    sub.add_argument("--gen-n", type=int, help="generated graph size")
+    sub.add_argument("--gen-p", type=float, help="generated edge probability")
+    sub.add_argument("--budget-fracs", help="comma list of budget fractions")
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--epsilon", type=float)
+    sub.add_argument("--delta", type=float)
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--estimator", choices=sorted(ESTIMATORS))
+    sub.add_argument("--out-csv", help="write records here")
+    sub.add_argument("--out-svg", help="write a value-vs-budget chart here")
+    sub.add_argument(
+        "--svg-y", choices=("value", "rounds"), help="metric for the SVG chart"
+    )
+
+
+_COMMON_DEFAULTS = {
+    "objective": "cut",
+    "graph": None,
+    "features": None,
+    "gen_n": 200,
+    "gen_p": 0.2,
+    "budget_fracs": ",".join(str(f) for f in DEFAULT_BUDGET_FRACTIONS),
+    "trials": 1,
+    "epsilon": 0.1,
+    "delta": 0.12,
+    "alpha": 1.0 / 7.0,
+    "seed": 0,
+    "estimator": "greedy",
+    "out_csv": None,
+    "out_svg": None,
+    "svg_y": "value",
+}
+
+
+def _merge_options(args, extra_defaults=None):
+    """defaults < config file < explicit command-line flags."""
+    merged = dict(_COMMON_DEFAULTS)
+    if extra_defaults:
+        merged.update(extra_defaults)
+    if getattr(args, "config", None):
+        file_values = parse_config_file(args.config)
+        unknown = set(file_values) - set(merged)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, text in file_values.items():
+            current = merged[key]
+            if isinstance(current, bool):
+                merged[key] = text.lower() in ("1", "true", "yes")
+            elif isinstance(current, int):
+                merged[key] = int(text)
+            elif isinstance(current, float):
+                merged[key] = float(text)
+            else:
+                merged[key] = text
+    for key in merged:
+        value = getattr(args, key, None)
+        if value is not None:
+            merged[key] = value
+    return merged
+
+
+def _spec_from_options(opts, algorithm):
+    if opts["graph"]:
+        source = FileSource(opts["graph"])
+    elif opts["features"]:
+        source = FileSource(opts["features"])
+    else:
+        source = GenerateSource(opts["gen_n"], opts["gen_p"], opts["seed"])
+    config = AstConfig(
+        alpha=opts["alpha"],
+        epsilon=opts["epsilon"],
+        delta=opts["delta"],
+        seed=opts["seed"],
+        estimator=opts["estimator"],
+    )
+    return ExperimentSpec(
+        algorithm=algorithm,
+        objective=opts["objective"],
+        source=source,
+        budget_fractions=_parse_fractions(opts["budget_fracs"]),
+        trials=opts["trials"],
+        config=config,
+    )
+
+
+def _emit(records, opts):
+    for rec in records:
+        print(
+            f"{rec.algorithm:>15} {rec.objective:>10} frac={rec.budget_fraction:<8g} "
+            f"trial={rec.trial} value={rec.f_value:.4f} queries={rec.total_queries} "
+            f"rounds={rec.adaptive_rounds_ast}+{rec.adaptive_rounds_estimator}"
+        )
+    if opts["out_csv"]:
+        write_csv(records, opts["out_csv"])
+        print(f"wrote {opts['out_csv']}")
+    if opts["out_svg"]:
+        write_svg_plot(records, opts["out_svg"], y_axis=opts["svg_y"])
+        print(f"wrote {opts['out_svg']}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="submodknap",
+        description="Budgeted submodular maximization experiments",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    run_p = subs.add_parser("run", help="run one algorithm over a budget grid")
+    run_p.add_argument("--algorithm", choices=ALGORITHMS)
+    _add_common_options(run_p)
+
+    sweep_p = subs.add_parser("sweep", help="run several algorithms over one grid")
+    sweep_p.add_argument("--algorithms", help="comma list (default: all)")
+    _add_common_options(sweep_p)
+
+    verify_p = subs.add_parser(
+        "verify", help="ratio suite against brute-force optima (exit 1 on failure)"
+    )
+    verify_p.add_argument("--trials", type=int, default=200)
+    verify_p.add_argument("--seed", type=int, default=0)
+
+    bench_p = subs.add_parser(
+        "bench-rounds", help="adaptivity scaling suite (exit 1 on failure)"
+    )
+    bench_p.add_argument("--sizes", default="64,256,1024,4096")
+    bench_p.add_argument("--budget", type=float, default=8.0)
+    bench_p.add_argument("--avg-degree", type=float, default=20.0)
+    bench_p.add_argument("--bench-seeds", default="0,1,2")
+
+    args = parser.parse_args(argv)
+
+    if args.command == "run":
+        opts = _merge_options(args, {"algorithm": "ast"})
+        records = run_experiment(_spec_from_options(opts, opts["algorithm"]))
+        _emit(records, opts)
+        return 0
+
+    if args.command == "sweep":
+        opts = _merge_options(args, {"algorithms": ",".join(ALGORITHMS)})
+        records = []
+        for algorithm in opts["algorithms"].split(","):
+            records.extend(run_experiment(_spec_from_options(opts, algorithm.strip())))
+        _emit(records, opts)
+        return 0
+
+    if args.command == "verify":
+        reports = ratio_verification(trials=args.trials, base_seed=args.seed)
+        failed = False
+        for rep in reports:
+            status = "PASS" if rep["passed"] else "FAIL"
+            failed |= not rep["passed"]
+            print(
+                f"[{status}] {rep['objective']:>8} n={rep['n']:<3} "
+                f"frac={rep['budget_fraction']:<4} mean ratio="
+                f"{rep['mean_ratio']:.4f} (floor {rep['floor']:.5f}, "
+                f"slack {rep['slack']:.4f}, OPT {rep['opt']:.4f})"
+            )
+        print("verify:", "FAIL" if failed else "PASS")
+        return 1 if failed else 0
+
+    sizes = tuple(int(x) for x in args.sizes.split(","))
+    seeds = tuple(int(x) for x in args.bench_seeds.split(","))
+    report = adaptivity_bench(
+        sizes=sizes, budget=args.budget, avg_degree=args.avg_degree, seeds=seeds
+    )
+    for n, mean in zip(report["sizes"], report["mean_rounds"]):
+        print(f"n={n:<6} mean rounds={mean:.1f} {report['rounds_detail'][n]}")
+    print(
+        f"fit rounds = {report['slope']:.2f} ln n + {report['intercept']:.2f}, "
+        f"R^2 = {report['r_squared']:.4f}, ratio = {report['round_ratio']:.2f}"
+    )
+    print("bench-rounds:", "PASS" if report["passed"] else "FAIL")
+    return 0 if report["passed"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
