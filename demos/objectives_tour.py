@@ -24,10 +24,7 @@ print("  node costs  =", np.round(costs, 4), "(saturating in local edge mass)")
 
 # --- image summarization ----------------------------------------------------
 feats = np.random.default_rng(0).random((6, 16))
-unit = feats / np.linalg.norm(feats, axis=1)[:, None]
-sim = np.clip((unit @ unit.T + (unit @ unit.T).T) / 2, -1, 1)
-np.fill_diagonal(sim, 1.0)
-matrix = sk.SimilarityMatrix(sim)
+matrix = sk.similarity_from_features(feats)
 print("\nimage summary on 6 random feature rows:")
 for size in (1, 3, 6):
     ids = tuple(range(size))

@@ -40,6 +40,7 @@ from .objectives import (
     load_features,
     revenue_costs,
     revenue_value,
+    similarity_from_features,
 )
 from .randbatch import RandBatchOutput, RandBatchParams, get_seq, rand_batch
 from .unconstrained import unsub_max
@@ -86,6 +87,7 @@ __all__ = [
     "random_feasible",
     "revenue_costs",
     "revenue_value",
+    "similarity_from_features",
     "split_ground",
     "threshold_loop",
     "unsub_max",

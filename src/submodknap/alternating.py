@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_id_array
-from .estimator import ESTIMATORS, gamma_and_guesses
+from .estimator import ESTIMATORS, estimate_best_singleton, gamma_and_guesses
 from .randbatch import RandBatchParams, rand_batch
 from .unconstrained import unsub_max
 
@@ -31,18 +31,15 @@ from .unconstrained import unsub_max
 class AstConfig:
     """Parameters of one solver run.
 
-    alpha, epsilon, delta shape the threshold grid; accept_prob is the
-    sampler's keep probability (1 in the standard configuration); the seed
-    fixes every random draw.  ``unsubmax_samples`` defaults to
-    ``ceil(1/epsilon)`` random subsets in the boost round.
+    alpha, epsilon, delta shape the threshold grid (and the boost round
+    draws ``ceil(1/epsilon)`` random subsets); the seed fixes every random
+    draw; ``estimator`` names the entry of ``ESTIMATORS`` that seeds the grid.
     """
 
     alpha: float = 1.0 / 7.0
     epsilon: float = 0.1
     delta: float = 0.12
-    accept_prob: float = 1.0
     seed: int = 0
-    unsubmax_samples: int | None = None
     estimator: str = "greedy"
 
     def __post_init__(self):
@@ -52,10 +49,6 @@ class AstConfig:
             raise ValueError("delta must lie in (0, 1/8)")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if not 0.0 < self.accept_prob <= 1.0:
-            raise ValueError("accept_prob must lie in (0, 1]")
-        if self.unsubmax_samples is not None and self.unsubmax_samples < 1:
-            raise ValueError("unsubmax_samples must be at least 1")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator: {self.estimator!r}")
 
@@ -108,28 +101,19 @@ def threshold_loop(oracle, instance, pool, grid, config, rng):
     the second after step two.
     """
     xs, ys = [], []
-    x_set, y_set = set(), set()
     pool = [int(e) for e in pool]
     x_after_first = ()
     y_after_second = ()
     for i in range(1, grid.num_thresholds + 1):
         theta = grid.gamma * (1.0 - config.epsilon) ** i
         params = RandBatchParams(
-            threshold=theta,
-            accept_cap=grid.accept_cap,
-            accept_prob=config.accept_prob,
-            epsilon=config.epsilon,
+            threshold=theta, accept_cap=grid.accept_cap, epsilon=config.epsilon
         )
-        if i % 2 == 1:
-            out = rand_batch(oracle, pool, params, instance, rng, base=tuple(xs))
-            xs.extend(out.accepted)
-            x_set.update(out.accepted)
-            pool = [e for e in pool if e not in x_set]
-        else:
-            out = rand_batch(oracle, pool, params, instance, rng, base=tuple(ys))
-            ys.extend(out.accepted)
-            y_set.update(out.accepted)
-            pool = [e for e in pool if e not in y_set]
+        order = xs if i % 2 == 1 else ys
+        out = rand_batch(oracle, pool, params, instance, rng, base=tuple(order))
+        order.extend(out.accepted)
+        taken = set(out.accepted)
+        pool = [e for e in pool if e not in taken]
         if i == 1:
             x_after_first = tuple(xs)
         elif i == 2:
@@ -191,19 +175,11 @@ def _pick_first_max(entries):
 
 def _trivial_result(oracle, instance, estimate):
     """Fallback when the estimator finds nothing of positive value: return
-    the best feasible singleton, or the empty set if nothing fits."""
-    fits = [e for e in range(instance.n) if instance.costs[e] <= instance.budget]
-    solution = ()
-    value = 0.0
-    if fits:
-        values = oracle.marginal_batch((), fits)
-        best = max(range(len(fits)), key=lambda i: (values[i], -fits[i]))
-        if values[best] > 0.0:
-            solution = (fits[best],)
-            value = values[best]
+    the best feasible singleton, or the empty set if none has positive value."""
+    single = estimate_best_singleton(oracle, instance)
     return AstResult(
-        solution=solution,
-        value=float(value),
+        solution=single.solution,
+        value=float(single.value),
         candidates={"S0": (estimate.solution, estimate.value)},
         x_order=(),
         y_order=(),
@@ -262,9 +238,7 @@ def ast(oracle, instance, config=None):
     s1_value = None
     boost_ground = x_after_first + tiny
     if instance.cost_of(boost_ground) <= config.epsilon * instance.budget:
-        samples = config.unsubmax_samples
-        if samples is None:
-            samples = math.ceil(1.0 / config.epsilon)
+        samples = math.ceil(1.0 / config.epsilon)
         s1, s1_value = unsub_max(oracle, boost_ground, samples, rng)
     unsub_queries, unsub_rounds = ledger.snapshot()
 

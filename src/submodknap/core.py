@@ -19,12 +19,20 @@ class BatchContractError(ValueError):
 
 
 def as_id_array(ids):
-    """Normalize a collection of element ids to a 1-D integer array."""
-    if isinstance(ids, np.ndarray):
-        if ids.ndim != 1:
-            raise ValueError("element ids must form a 1-D collection")
-        return ids.astype(np.intp, copy=False)
-    return np.fromiter(ids, dtype=np.intp)
+    """Normalize a collection of element ids to a 1-D integer array.
+
+    Non-integer ids (floats, booleans such as a mask) raise ``ValueError``
+    instead of being cast to other ids; an empty collection is always valid.
+    """
+    if not isinstance(ids, np.ndarray):
+        ids = np.asarray(ids if isinstance(ids, (list, tuple)) else list(ids))
+    if ids.ndim != 1:
+        raise ValueError("element ids must form a 1-D collection")
+    if ids.dtype.kind not in "iu":
+        if ids.size:
+            raise ValueError(f"element ids must be integers, not {ids.dtype}")
+        return np.empty(0, dtype=np.intp)
+    return ids.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,19 @@ class GuessGrid(NamedTuple):
     accept_cap: int       # per-call acceptance cap for the sampler
 
 
+def best_singleton(values):
+    """The best single element of a ``{id: value}`` map as ``(ids, value)``.
+
+    Ties go to the lowest id; when no value is positive the result is the
+    empty set with value zero.
+    """
+    best, best_value = (), 0.0
+    for e in sorted(values):
+        if values[e] > best_value:
+            best, best_value = (e,), values[e]
+    return best, best_value
+
+
 def estimate_greedy(oracle, instance, *, delta=0.12, assumed_factor=None):
     """Density greedy plus a best-feasible-singleton fallback.
 
@@ -53,20 +66,8 @@ def estimate_greedy(oracle, instance, *, delta=0.12, assumed_factor=None):
     if assumed_factor is None:
         assumed_factor = 1.0 / 8.0 - delta
     trace = density_greedy_trace(oracle, instance)
-
-    best_single = None
-    best_single_value = 0.0
-    for e in sorted(trace.singleton_values):
-        value = trace.singleton_values[e]
-        if value > best_single_value:
-            best_single, best_single_value = e, value
-
-    if trace.order and trace.value >= best_single_value:
-        chosen = trace.order
-    elif best_single is not None:
-        chosen = (best_single,)
-    else:
-        chosen = ()
+    single, single_value = best_singleton(trace.singleton_values)
+    chosen = trace.order if trace.order and trace.value >= single_value else single
     if not chosen:
         return OptEstimate((), 0.0, assumed_factor)
     value = oracle.evaluate(chosen)
@@ -74,17 +75,15 @@ def estimate_greedy(oracle, instance, *, delta=0.12, assumed_factor=None):
 
 
 def estimate_best_singleton(oracle, instance, *, delta=0.12, assumed_factor=None):
-    """Cheapest possible estimator: the best feasible single element."""
+    """Cheapest possible estimator: the best feasible single element, found
+    with one marginal batch over the feasible singletons (none if nothing
+    fits)."""
     if assumed_factor is None:
         assumed_factor = 1.0 / 8.0 - delta
     fits = [e for e in range(instance.n) if instance.costs[e] <= instance.budget]
-    if not fits:
-        return OptEstimate((), 0.0, assumed_factor)
-    values = oracle.marginal_batch((), fits)
-    best = max(range(len(fits)), key=lambda i: (values[i], -fits[i]))
-    if values[best] <= 0.0:
-        return OptEstimate((), 0.0, assumed_factor)
-    return OptEstimate((fits[best],), values[best], assumed_factor)
+    values = dict(zip(fits, oracle.marginal_batch((), fits))) if fits else {}
+    solution, value = best_singleton(values)
+    return OptEstimate(solution, value, assumed_factor)
 
 
 ESTIMATORS = {

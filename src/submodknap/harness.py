@@ -18,7 +18,8 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -33,21 +34,18 @@ from .objectives import (
     ModularObjective,
     RevenueObjective,
     SumObjective,
+    _open_unit,
     gen_erdos_renyi,
     load_edge_list,
     load_features,
     revenue_costs,
+    similarity_from_features,
 )
 
 ALGORITHMS = ("ast", "density_greedy", "random_feasible")
 OBJECTIVES = ("revenue", "cut", "image_summ")
 
 DEFAULT_BUDGET_FRACTIONS = tuple(np.linspace(0.125, 1.0, 8).round(6).tolist())
-
-CSV_HEADER = (
-    "algorithm,objective,n,budget_fraction,B,epsilon,delta,seed,trial,"
-    "f_value,total_queries,adaptive_rounds_ast,adaptive_rounds_estimator,wall_ms"
-)
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,12 @@ class ExperimentRecord:
     wall_ms: float
 
 
+# (name, type) of each record field, in CSV column order
+_FIELD_TYPES = get_type_hints(ExperimentRecord)
+_RECORD_FIELDS = tuple((f.name, _FIELD_TYPES[f.name]) for f in fields(ExperimentRecord))
+CSV_HEADER = ",".join(name for name, _ in _RECORD_FIELDS)
+
+
 def _trial_seed(base_seed, trial):
     """Canonical derivation of one trial's generator seed."""
     return int(np.random.SeedSequence([int(base_seed), int(trial)]).generate_state(1)[0])
@@ -125,13 +129,8 @@ def build_objective(spec):
             matrix = load_features(source.path)
         else:
             feats = np.random.default_rng(source.seed).random((source.n, 64))
-            unit = feats / np.linalg.norm(feats, axis=1)[:, None]
-            sim = np.clip((unit @ unit.T + (unit @ unit.T).T) / 2.0, -1.0, 1.0)
-            np.fill_diagonal(sim, 1.0)
-            from .objectives import SimilarityMatrix
-
-            matrix = SimilarityMatrix(sim)
-        costs = _positive_uniform(rng, matrix.n)
+            matrix = similarity_from_features(feats)
+        costs = _open_unit(rng, matrix.n)
         return ImageSummaryObjective(matrix), costs
 
     if isinstance(source, FileSource):
@@ -143,15 +142,8 @@ def build_objective(spec):
         return RevenueObjective(graph), revenue_costs(graph)
     costs = graph.node_costs
     if costs is None:
-        costs = _positive_uniform(rng, graph.n)
+        costs = _open_unit(rng, graph.n)
     return CutObjective(graph), costs
-
-
-def _positive_uniform(rng, size):
-    vals = rng.random(size)
-    while np.any(vals == 0.0):
-        vals[vals == 0.0] = rng.random(int((vals == 0.0).sum()))
-    return vals
 
 
 def _run_single(spec, objective, instance, trial):
@@ -221,22 +213,10 @@ def write_csv(records, path):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(CSV_HEADER + "\n")
         for rec in records:
-            row = [
-                rec.algorithm,
-                rec.objective,
-                str(rec.n),
-                repr(rec.budget_fraction),
-                repr(rec.B),
-                repr(rec.epsilon),
-                repr(rec.delta),
-                str(rec.seed),
-                str(rec.trial),
-                repr(rec.f_value),
-                str(rec.total_queries),
-                str(rec.adaptive_rounds_ast),
-                str(rec.adaptive_rounds_estimator),
-                repr(rec.wall_ms),
-            ]
+            row = (
+                (repr if kind is float else str)(getattr(rec, name))
+                for name, kind in _RECORD_FIELDS
+            )
             handle.write(",".join(row) + "\n")
 
 
@@ -249,22 +229,7 @@ def read_csv(path):
             raise ValueError(f"{path}: unexpected CSV header")
         for row in reader:
             records.append(
-                ExperimentRecord(
-                    algorithm=row["algorithm"],
-                    objective=row["objective"],
-                    n=int(row["n"]),
-                    budget_fraction=float(row["budget_fraction"]),
-                    B=float(row["B"]),
-                    epsilon=float(row["epsilon"]),
-                    delta=float(row["delta"]),
-                    seed=int(row["seed"]),
-                    trial=int(row["trial"]),
-                    f_value=float(row["f_value"]),
-                    total_queries=int(row["total_queries"]),
-                    adaptive_rounds_ast=int(row["adaptive_rounds_ast"]),
-                    adaptive_rounds_estimator=int(row["adaptive_rounds_estimator"]),
-                    wall_ms=float(row["wall_ms"]),
-                )
+                ExperimentRecord(**{name: kind(row[name]) for name, kind in _RECORD_FIELDS})
             )
     return records
 
@@ -574,9 +539,7 @@ def _merge_options(args, extra_defaults=None):
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, text in file_values.items():
             current = merged[key]
-            if isinstance(current, bool):
-                merged[key] = text.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 merged[key] = int(text)
             elif isinstance(current, float):
                 merged[key] = float(text)

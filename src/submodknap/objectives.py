@@ -13,41 +13,6 @@ import numpy as np
 
 from .core import as_id_array
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _cut_kernel(indptr, indices, data, ids, inside):
-        total = 0.0
-        for a in ids:
-            inside[a] = True
-        for a in ids:
-            for j in range(indptr[a], indptr[a + 1]):
-                if not inside[indices[j]]:
-                    total += data[j]
-        return total
-
-    @_njit(cache=True)
-    def _revenue_kernel(indptr, indices, data, ids, n):
-        influence = np.zeros(n, dtype=np.float64)
-        inside = np.zeros(n, dtype=np.bool_)
-        for a in ids:
-            inside[a] = True
-        for a in ids:
-            for j in range(indptr[a], indptr[a + 1]):
-                influence[indices[j]] += data[j]
-        total = 0.0
-        for v in range(n):
-            if not inside[v] and influence[v] > 0.0:
-                total += np.sqrt(influence[v])
-        return total
-
 
 class ParseError(ValueError):
     """A data file line could not be parsed."""
@@ -181,6 +146,21 @@ class SimilarityMatrix:
         self.n = sim.shape[0]
 
 
+def similarity_from_features(feats):
+    """Cosine similarities of the rows of ``feats`` (none of zero norm).
+
+    The product is symmetrized and clipped to [-1, 1], and the diagonal set
+    to exactly 1, so rounding cannot break the matrix's invariants.
+    """
+    unit = feats / np.linalg.norm(feats, axis=1)[:, None]
+    sim = unit @ unit.T
+    sim += sim.T
+    sim /= 2.0
+    np.clip(sim, -1.0, 1.0, out=sim)
+    np.fill_diagonal(sim, 1.0)
+    return SimilarityMatrix(sim)
+
+
 class CutObjective:
     """Weighted cut: total weight of edges with exactly one endpoint inside."""
 
@@ -192,11 +172,6 @@ class CutObjective:
         ids = np.sort(as_id_array(ids))
         if ids.size == 0 or ids.size == self.n:
             return 0.0
-        if _HAVE_NUMBA:
-            inside = np.zeros(self.n, dtype=np.bool_)
-            return float(
-                _cut_kernel(self._indptr, self._indices, self._data, ids, inside)
-            )
         inside = np.zeros(self.n, dtype=bool)
         inside[ids] = True
         pos = _row_block_positions(self._indptr, ids)
@@ -216,10 +191,6 @@ class RevenueObjective:
         ids = np.sort(as_id_array(ids))
         if ids.size == 0:
             return 0.0
-        if _HAVE_NUMBA:
-            return float(
-                _revenue_kernel(self._indptr, self._indices, self._data, ids, self.n)
-            )
         inside = np.zeros(self.n, dtype=bool)
         inside[ids] = True
         pos = _row_block_positions(self._indptr, ids)
@@ -420,8 +391,4 @@ def load_features(path):
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise DataError(f"{path}: row {zero[0] + 1}: zero-norm feature vector")
-    unit = feats / norms[:, None]
-    sim = unit @ unit.T
-    sim = np.clip((sim + sim.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(sim, 1.0)
-    return SimilarityMatrix(sim)
+    return similarity_from_features(feats)

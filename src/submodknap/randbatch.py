@@ -24,15 +24,13 @@ from .core import as_id_array
 class RandBatchParams:
     """Knobs for one sampling call.
 
-    threshold:   density floor (marginal gain per unit cost) for survival.
-    accept_cap:  stop after this many damage-rule acceptances.
-    accept_prob: probability of keeping a drawn prefix.
-    epsilon:     accuracy parameter shared by both stopping rules.
+    threshold:  density floor (marginal gain per unit cost) for survival.
+    accept_cap: stop after this many damage-rule acceptances.
+    epsilon:    accuracy parameter shared by both stopping rules.
     """
 
     threshold: float
     accept_cap: int
-    accept_prob: float = 1.0
     epsilon: float = 0.1
 
     def __post_init__(self):
@@ -40,19 +38,15 @@ class RandBatchParams:
             raise ValueError("threshold must be positive")
         if self.accept_cap < 1:
             raise ValueError("accept_cap must be at least 1")
-        if not 0.0 < self.accept_prob <= 1.0:
-            raise ValueError("accept_prob must lie in (0, 1]")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class RandBatchOutput:
-    """Result triple of one sampling call.
+    """Result of one sampling call.
 
     accepted:  elements kept, in selection order.
-    offered:   every element that appeared in a drawn prefix (superset of
-               accepted when prefixes are declined).
     surviving: elements still clearing the density floor at exit; empty
                unless the acceptance cap stopped the loop early.
 
@@ -61,7 +55,6 @@ class RandBatchOutput:
     """
 
     accepted: tuple
-    offered: tuple
     surviving: tuple
     damage_count: int = 0
 
@@ -101,7 +94,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
     base = tuple(base)
     pool = [int(e) for e in as_id_array(pool).tolist()]
     if not pool:
-        return RandBatchOutput((), (), (), 0)
+        return RandBatchOutput((), (), 0)
 
     costs = instance.costs
     epsilon = params.epsilon
@@ -110,8 +103,6 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
 
     accepted = []
     accepted_cost = 0.0
-    offered = []
-    offered_set = set()
     count = 0
 
     # initial survivor filter: one marginal batch over the whole pool
@@ -174,28 +165,20 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
         t2 = int(np.argmax(damage_rule)) if damage_rule.any() else d
         t_star = min(t1, t2)
 
-        offered.extend(seq[:t_star])
-        offered_set.update(seq[:t_star])
+        taken = set(seq[:t_star])
+        accepted.extend(seq[:t_star])
+        accepted_cost += float(prefix_costs[t_star])
+        if t2 <= t1:
+            count += 1
 
-        keep = True if params.accept_prob >= 1.0 else bool(
-            rng.random() < params.accept_prob
-        )
-        row = 0
-        if keep:
-            accepted.extend(seq[:t_star])
-            accepted_cost += float(prefix_costs[t_star])
-            row = t_star
-            if t2 <= t1:
-                count += 1
-
-        # refilter survivors against the (possibly extended) accepted set,
-        # reusing the sweep row that matches it
+        # refilter survivors against the extended accepted set, reusing the
+        # sweep row that matches it
         survivors = [
             e
             for j, e in enumerate(survivors)
-            if e not in offered_set
-            and gain_rows[row, j] / costs[e] >= threshold
+            if e not in taken
+            and gain_rows[t_star, j] / costs[e] >= threshold
             and accepted_cost + costs[e] <= residual
         ]
 
-    return RandBatchOutput(tuple(accepted), tuple(offered), tuple(survivors), count)
+    return RandBatchOutput(tuple(accepted), tuple(survivors), count)

@@ -77,7 +77,6 @@ class TestConfigValidation:
         assert config.alpha == pytest.approx(1.0 / 7.0)
         assert config.epsilon == 0.1
         assert config.delta == 0.12
-        assert config.accept_prob == 1.0
 
     def test_ranges(self):
         with pytest.raises(ValueError):

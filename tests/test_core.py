@@ -9,11 +9,48 @@ from submodknap import (
     CutObjective,
     KnapsackInstance,
     ModularObjective,
+    as_id_array,
 )
 
 
 def make_modular_oracle(values=(3.0, 2.0, 1.0)):
     return CountingOracle(ModularObjective(values))
+
+
+class TestAsIdArray:
+    def test_integer_collections(self):
+        for ids in ([2, 0], (2, 0), np.array([2, 0], dtype=np.int32), range(2, -1, -2)):
+            arr = as_id_array(ids)
+            assert arr.dtype == np.intp
+            assert arr.tolist() == [2, 0]
+
+    def test_empty_collections_are_valid(self):
+        for ids in ((), [], np.array([]), np.empty(0, dtype=bool), set()):
+            arr = as_id_array(ids)
+            assert arr.dtype == np.intp
+            assert arr.size == 0
+
+    def test_float_ids_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            as_id_array([1.7])
+        with pytest.raises(ValueError, match="integers"):
+            as_id_array(np.array([0.0, 1.0]))
+
+    def test_boolean_mask_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            as_id_array([True, False])
+        with pytest.raises(ValueError, match="integers"):
+            as_id_array(np.array([True, False, True]))
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            as_id_array(np.zeros((2, 2), dtype=np.intp))
+
+    def test_oracle_rejects_float_ids(self):
+        oracle = make_modular_oracle()
+        with pytest.raises(ValueError, match="integers"):
+            oracle.evaluate(np.array([0.9, 1.2]))
+        assert oracle.ledger.snapshot() == (0, 0)
 
 
 class TestEvaluate:

@@ -4,13 +4,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from submodknap import AstConfig
+from submodknap import AstConfig, load_features
 from submodknap.harness import (
     CSV_HEADER,
     ExperimentRecord,
     ExperimentSpec,
     GenerateSource,
     adaptivity_bench,
+    build_objective,
     main,
     parse_config_file,
     ratio_verification,
@@ -126,9 +127,36 @@ class TestCsv:
         assert len(lines) == 2
         assert read_csv(path) == [record]
 
+    def test_exact_bytes(self, tmp_path):
+        # floats are written with repr, everything else with str
+        record = ExperimentRecord(
+            "ast", "cut", 10, 0.1 + 0.2, 2.5, 0.1, 0.12, 3, 1, 1 / 3, 10, 5, 2, 3.5
+        )
+        path = tmp_path / "one.csv"
+        write_csv([record], path)
+        assert path.read_bytes() == (
+            b"algorithm,objective,n,budget_fraction,B,epsilon,delta,seed,trial,"
+            b"f_value,total_queries,adaptive_rounds_ast,adaptive_rounds_estimator,wall_ms\n"
+            b"ast,cut,10,0.30000000000000004,2.5,0.1,0.12,3,1,"
+            b"0.3333333333333333,10,5,2,3.5\n"
+        )
+
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], tmp_path / "none.csv")
+
+
+class TestBuildObjective:
+    def test_generated_image_summ_matches_loaded_features(self, tmp_path):
+        # the harness draws U[0,1)^64 features from the source seed; written
+        # with repr floats and loaded back they give the same matrix, bit for bit
+        source = GenerateSource(n=40, p=0.0, seed=3)
+        objective, _ = build_objective(small_spec(objective="image_summ", source=source))
+        feats = np.random.default_rng(source.seed).random((source.n, 64))
+        path = tmp_path / "feats.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in feats.tolist()))
+        loaded = load_features(path)
+        assert np.array_equal(objective._sim, loaded.sim)
 
 
 class TestSvg:

@@ -20,6 +20,7 @@ from submodknap import (
     load_features,
     revenue_costs,
     revenue_value,
+    similarity_from_features,
 )
 from conftest import naive_cut, naive_image_summary, naive_revenue
 
@@ -107,10 +108,7 @@ class TestImageSummary:
     def test_non_negative_when_similarities_are(self):
         rng = np.random.default_rng(6)
         feats = rng.random((25, 8))
-        unit = feats / np.linalg.norm(feats, axis=1)[:, None]
-        sim = np.clip((unit @ unit.T + (unit @ unit.T).T) / 2, -1, 1)
-        np.fill_diagonal(sim, 1.0)
-        matrix = SimilarityMatrix(sim)
+        matrix = similarity_from_features(feats)
         objective = ImageSummaryObjective(matrix)
         for _ in range(300):
             ids = rng.choice(25, size=rng.integers(0, 26), replace=False)
@@ -147,10 +145,7 @@ class TestNormalizationAndAgreement:
     def test_image_summary_agrees_with_naive(self):
         rng = np.random.default_rng(11)
         feats = rng.random((20, 6))
-        unit = feats / np.linalg.norm(feats, axis=1)[:, None]
-        sim = np.clip((unit @ unit.T + (unit @ unit.T).T) / 2, -1, 1)
-        np.fill_diagonal(sim, 1.0)
-        matrix = SimilarityMatrix(sim)
+        matrix = similarity_from_features(feats)
         objective = ImageSummaryObjective(matrix)
         for ids in self._random_sets(20, 400, 12):
             fast = objective(ids)
@@ -190,10 +185,7 @@ class TestNonMonotoneWitness:
     def test_image_summary_has_negative_marginal(self):
         rng = np.random.default_rng(16)
         feats = rng.random((12, 5))
-        unit = feats / np.linalg.norm(feats, axis=1)[:, None]
-        sim = np.clip((unit @ unit.T + (unit @ unit.T).T) / 2, -1, 1)
-        np.fill_diagonal(sim, 1.0)
-        objective = ImageSummaryObjective(SimilarityMatrix(sim))
+        objective = ImageSummaryObjective(similarity_from_features(feats))
         found = False
         for _ in range(500):
             size = int(rng.integers(1, 12))
