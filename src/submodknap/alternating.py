@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .core import as_id_array
 from .estimator import ESTIMATORS, estimate_best_singleton, gamma_and_guesses
 from .randbatch import RandBatchParams, rand_batch
 from .unconstrained import unsub_max
+
+_value = itemgetter(1)  # the value of an (ids, value) candidate
 
 
 @dataclass(frozen=True)
@@ -164,15 +167,6 @@ def augment_prefixes(oracle, instance, order):
     return full_value, augmented
 
 
-def _pick_first_max(entries):
-    """First (ids, value) pair attaining the maximum value."""
-    best = entries[0]
-    for entry in entries[1:]:
-        if entry[1] > best[1]:
-            best = entry
-    return best
-
-
 def _trivial_result(oracle, instance, estimate):
     """Fallback when the estimator finds nothing of positive value: return
     the best feasible singleton, or the empty set if none has positive value."""
@@ -207,7 +201,7 @@ def ast(oracle, instance, config=None):
 
     tiny, rest = split_ground(instance, config.epsilon)
 
-    estimate = ESTIMATORS[config.estimator](oracle, instance, delta=config.delta)
+    estimate = ESTIMATORS[config.estimator](oracle, instance)
     est_queries, est_rounds = ledger.snapshot()
     estimator_queries = est_queries - start_queries
     estimator_rounds = est_rounds - start_rounds
@@ -246,26 +240,19 @@ def ast(oracle, instance, config=None):
     y_value, y_augs = augment_prefixes(oracle, instance, y_order)
     end_queries, end_rounds = ledger.snapshot()
 
-    ordered = (
-        list(x_augs)
-        + list(y_augs)
-        + [(x_order, x_value), (y_order, y_value)]
-    )
-    if s1 is not None:
-        ordered.append((s1, s1_value))
-    solution, value = _pick_first_max(ordered)
-
-    candidates = {
-        "X": (x_order, x_value),
-        "Y": (y_order, y_value),
-        "S0": (estimate.solution, estimate.value),
-    }
+    # the final argmax: max keeps the first of equal values, so ties go to
+    # the earliest candidate in this order
+    compared = {}
     if x_augs:
-        candidates["best_x_aug"] = _pick_first_max(x_augs)
+        compared["best_x_aug"] = max(x_augs, key=_value)
     if y_augs:
-        candidates["best_y_aug"] = _pick_first_max(y_augs)
+        compared["best_y_aug"] = max(y_augs, key=_value)
+    compared["X"] = (x_order, x_value)
+    compared["Y"] = (y_order, y_value)
     if s1 is not None:
-        candidates["S1"] = (s1, s1_value)
+        compared["S1"] = (s1, s1_value)
+    solution, value = max(compared.values(), key=_value)
+    candidates = {**compared, "S0": (estimate.solution, estimate.value)}
 
     return AstResult(
         solution=tuple(solution),
@@ -275,7 +262,7 @@ def ast(oracle, instance, config=None):
         y_order=y_order,
         x_after_first=x_after_first,
         y_after_second=y_after_second,
-        compared_candidates=len(ordered),
+        compared_candidates=len(x_augs) + len(y_augs) + 2 + (s1 is not None),
         gamma=grid.gamma,
         num_thresholds=grid.num_thresholds,
         accept_cap=grid.accept_cap,

@@ -133,10 +133,6 @@ class CountingOracle:
             if arr.min() < 0 or arr.max() >= self.n:
                 raise ValueError("element id out of range for this ground set")
 
-    def _eval_one(self, arr):
-        self._check_ids(arr)
-        return float(self.objective(arr))
-
     def evaluate(self, ids):
         """Value of one set: one query, one adaptive round."""
         return self.evaluate_batch([ids])[0]
@@ -147,12 +143,7 @@ class CountingOracle:
         Results are element-wise identical to sequential :meth:`evaluate`
         calls; only the accounting differs (one round for the whole batch).
         """
-        arrs = [as_id_array(s) for s in sets]
-        if not arrs:
-            raise BatchContractError("empty batch: a round must contain at least one query")
-        values = [self._eval_one(a) for a in arrs]
-        self.ledger.charge(len(arrs))
-        return values
+        return [value for value, _ in self.evaluate_extensions([(s, ()) for s in sets])]
 
     def evaluate_extensions(self, groups):
         """Evaluate base sets and their one-element extensions in one round.
@@ -164,27 +155,32 @@ class CountingOracle:
         ``sum(len(candidates) + 1)`` queries: one per base, one per extension.
 
         Returns a list of ``(base_value, extension_values)`` pairs with
-        ``extension_values`` aligned to the candidate order.
+        ``extension_values`` aligned to the candidate order.  Every id is
+        checked before anything is evaluated: an id outside the ground set or
+        a base that repeats an id raises ``ValueError`` and charges nothing.
+        Candidates may repeat; each is its own query.
         """
         prepared = []
         queries = 0
         for base, candidates in groups:
             base_arr = as_id_array(base)
             cand_arr = as_id_array(candidates)
-            prepared.append((base_arr, cand_arr))
+            self._check_ids(base_arr)
+            self._check_ids(cand_arr)
+            members = set(base_arr.tolist())
+            if len(members) != base_arr.size:
+                raise ValueError("a queried set repeats an element id")
+            prepared.append((base_arr, cand_arr, members))
             queries += cand_arr.size + 1
         if queries < 1:
             raise BatchContractError("empty batch: a round must contain at least one query")
 
         out = []
         objective = self.objective
-        for base_arr, cand_arr in prepared:
-            self._check_ids(base_arr)
-            self._check_ids(cand_arr)
+        for base_arr, cand_arr, members in prepared:
             base_value = float(objective(base_arr))
             ext_values = np.empty(cand_arr.size, dtype=np.float64)
             if cand_arr.size:
-                members = set(base_arr.tolist())
                 buf = np.empty(base_arr.size + 1, dtype=np.intp)
                 buf[:-1] = base_arr
                 for j, u in enumerate(cand_arr.tolist()):

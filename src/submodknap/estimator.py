@@ -16,20 +16,12 @@ from .baselines import density_greedy_trace
 
 @dataclass(frozen=True)
 class OptEstimate:
-    """A feasible starting solution with its exact value.
-
-    ``assumed_factor`` is the fraction of the optimum the caller may assume
-    the value reaches (value lies in [factor * OPT, OPT]).  It is a promise
-    configured by the caller, not something the estimator certifies.
-    """
+    """A feasible starting solution with its exact value."""
 
     solution: tuple
     value: float
-    assumed_factor: float
 
     def __post_init__(self):
-        if not 0.0 < self.assumed_factor <= 1.0:
-            raise ValueError("assumed_factor must lie in (0, 1]")
         if self.value < 0.0:
             raise ValueError("estimate value must be non-negative")
 
@@ -55,35 +47,30 @@ def best_singleton(values):
     return best, best_value
 
 
-def estimate_greedy(oracle, instance, *, delta=0.12, assumed_factor=None):
+def estimate_greedy(oracle, instance):
     """Density greedy plus a best-feasible-singleton fallback.
 
     Returns whichever of the two scores higher, re-evaluated once so the
-    recorded value is the oracle's own.  ``assumed_factor`` defaults to
-    ``1/8 - delta``.  When nothing feasible has positive value the estimate
-    is the empty set with value zero.
+    recorded value is the oracle's own.  When nothing feasible has positive
+    value the estimate is the empty set with value zero.
     """
-    if assumed_factor is None:
-        assumed_factor = 1.0 / 8.0 - delta
     trace = density_greedy_trace(oracle, instance)
     single, single_value = best_singleton(trace.singleton_values)
     chosen = trace.order if trace.order and trace.value >= single_value else single
     if not chosen:
-        return OptEstimate((), 0.0, assumed_factor)
+        return OptEstimate((), 0.0)
     value = oracle.evaluate(chosen)
-    return OptEstimate(tuple(chosen), value, assumed_factor)
+    return OptEstimate(tuple(chosen), value)
 
 
-def estimate_best_singleton(oracle, instance, *, delta=0.12, assumed_factor=None):
+def estimate_best_singleton(oracle, instance):
     """Cheapest possible estimator: the best feasible single element, found
     with one marginal batch over the feasible singletons (none if nothing
     fits)."""
-    if assumed_factor is None:
-        assumed_factor = 1.0 / 8.0 - delta
     fits = [e for e in range(instance.n) if instance.costs[e] <= instance.budget]
     values = dict(zip(fits, oracle.marginal_batch((), fits))) if fits else {}
     solution, value = best_singleton(values)
-    return OptEstimate(solution, value, assumed_factor)
+    return OptEstimate(solution, value)
 
 
 ESTIMATORS = {
@@ -95,8 +82,8 @@ ESTIMATORS = {
 def gamma_and_guesses(estimate_value, budget, *, alpha=1.0 / 7.0, epsilon=0.1, delta=0.12):
     """Threshold-grid parameters seeded by an optimum estimate.
 
-    gamma scales the grid so that, whenever the estimate brackets the optimum
-    within the assumed factor, some grid density lands in the window the
+    gamma scales the grid so that, whenever the estimate lies in
+    ``[(1/8 - delta) * OPT, OPT]``, some grid density lands in the window the
     selection analysis needs.  The grid length and the sampler's acceptance
     cap depend only on (alpha, epsilon, delta), not on the instance.
     """

@@ -383,8 +383,11 @@ def ratio_verification(trials=200, base_seed=0, instances=RATIO_INSTANCES):
 
     For each instance, runs the solver across seeded trials and checks that
     the mean of ``value / OPT`` clears ``1/7 - 0.1`` with one-sided 99%
-    confidence.  Returns a list of per-instance report dicts.
+    confidence.  Returns a list of per-instance report dicts.  The confidence
+    slack uses the sample standard deviation, so ``trials`` must be at least 2.
     """
+    if trials < 2:
+        raise ValueError("trials must be at least 2: the slack needs a sample deviation")
     reports = []
     for index, (kind, n, fraction) in enumerate(instances):
         objective, costs = _ratio_objective(kind, n, index)
@@ -484,111 +487,78 @@ def parse_config_file(path):
 
 
 def _parse_fractions(text):
-    return tuple(float(x) for x in str(text).split(",") if x.strip())
+    return tuple(float(x) for x in text.split(",") if x.strip())
 
 
 def _add_common_options(sub):
+    solver = AstConfig()
     sub.add_argument("--config", help="flat key = value settings file")
-    sub.add_argument("--objective", choices=OBJECTIVES)
-    sub.add_argument("--graph", help="edge-list file for graph objectives")
-    sub.add_argument("--features", help="feature CSV for image_summ")
-    sub.add_argument("--gen-n", type=int, help="generated graph size")
-    sub.add_argument("--gen-p", type=float, help="generated edge probability")
-    sub.add_argument("--budget-fracs", help="comma list of budget fractions")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--estimator", choices=sorted(ESTIMATORS))
+    sub.add_argument("--objective", choices=OBJECTIVES, default="cut")
+    sub.add_argument("--graph", help="edge-list file (cut and revenue)")
+    sub.add_argument("--features", help="feature CSV (image_summ)")
+    sub.add_argument("--gen-n", type=int, default=200, help="generated instance size")
+    sub.add_argument("--gen-p", type=float, default=0.2, help="generated edge probability")
+    sub.add_argument(
+        "--budget-fracs",
+        type=_parse_fractions,
+        default=DEFAULT_BUDGET_FRACTIONS,
+        help="comma list of budget fractions",
+    )
+    sub.add_argument("--trials", type=int, default=1)
+    sub.add_argument("--epsilon", type=float, default=solver.epsilon)
+    sub.add_argument("--delta", type=float, default=solver.delta)
+    sub.add_argument("--alpha", type=float, default=solver.alpha)
+    sub.add_argument("--seed", type=int, default=solver.seed)
+    sub.add_argument("--estimator", choices=sorted(ESTIMATORS), default=solver.estimator)
     sub.add_argument("--out-csv", help="write records here")
     sub.add_argument("--out-svg", help="write a value-vs-budget chart here")
     sub.add_argument(
-        "--svg-y", choices=("value", "rounds"), help="metric for the SVG chart"
+        "--svg-y", choices=("value", "rounds"), default="value", help="metric for the SVG chart"
     )
 
 
-_COMMON_DEFAULTS = {
-    "objective": "cut",
-    "graph": None,
-    "features": None,
-    "gen_n": 200,
-    "gen_p": 0.2,
-    "budget_fracs": ",".join(str(f) for f in DEFAULT_BUDGET_FRACTIONS),
-    "trials": 1,
-    "epsilon": 0.1,
-    "delta": 0.12,
-    "alpha": 1.0 / 7.0,
-    "seed": 0,
-    "estimator": "greedy",
-    "out_csv": None,
-    "out_svg": None,
-    "svg_y": "value",
-}
+def _source(args):
+    """The data source the flags name; a data file must suit the objective."""
+    if args.graph and args.objective == "image_summ":
+        raise ValueError("--graph is an edge list for cut or revenue; image_summ reads --features")
+    if args.features and args.objective != "image_summ":
+        raise ValueError(f"--features takes a feature CSV for image_summ, not {args.objective}")
+    if args.graph or args.features:
+        return FileSource(args.graph or args.features)
+    return GenerateSource(args.gen_n, args.gen_p, args.seed)
 
 
-def _merge_options(args, extra_defaults=None):
-    """defaults < config file < explicit command-line flags."""
-    merged = dict(_COMMON_DEFAULTS)
-    if extra_defaults:
-        merged.update(extra_defaults)
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
-        unknown = set(file_values) - set(merged)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, text in file_values.items():
-            current = merged[key]
-            if isinstance(current, int):
-                merged[key] = int(text)
-            elif isinstance(current, float):
-                merged[key] = float(text)
-            else:
-                merged[key] = text
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _spec_from_options(opts, algorithm):
-    if opts["graph"]:
-        source = FileSource(opts["graph"])
-    elif opts["features"]:
-        source = FileSource(opts["features"])
-    else:
-        source = GenerateSource(opts["gen_n"], opts["gen_p"], opts["seed"])
+def _spec_from_args(args, algorithm):
     config = AstConfig(
-        alpha=opts["alpha"],
-        epsilon=opts["epsilon"],
-        delta=opts["delta"],
-        seed=opts["seed"],
-        estimator=opts["estimator"],
+        alpha=args.alpha,
+        epsilon=args.epsilon,
+        delta=args.delta,
+        seed=args.seed,
+        estimator=args.estimator,
     )
     return ExperimentSpec(
         algorithm=algorithm,
-        objective=opts["objective"],
-        source=source,
-        budget_fractions=_parse_fractions(opts["budget_fracs"]),
-        trials=opts["trials"],
+        objective=args.objective,
+        source=_source(args),
+        budget_fractions=args.budget_fracs,
+        trials=args.trials,
         config=config,
     )
 
 
-def _emit(records, opts):
+def _emit(records, args):
     for rec in records:
         print(
             f"{rec.algorithm:>15} {rec.objective:>10} frac={rec.budget_fraction:<8g} "
             f"trial={rec.trial} value={rec.f_value:.4f} queries={rec.total_queries} "
             f"rounds={rec.adaptive_rounds_ast}+{rec.adaptive_rounds_estimator}"
         )
-    if opts["out_csv"]:
-        write_csv(records, opts["out_csv"])
-        print(f"wrote {opts['out_csv']}")
-    if opts["out_svg"]:
-        write_svg_plot(records, opts["out_svg"], y_axis=opts["svg_y"])
-        print(f"wrote {opts['out_svg']}")
+    if args.out_csv:
+        write_csv(records, args.out_csv)
+        print(f"wrote {args.out_csv}")
+    if args.out_svg:
+        write_svg_plot(records, args.out_svg, y_axis=args.svg_y)
+        print(f"wrote {args.out_svg}")
 
 
 def main(argv=None):
@@ -599,11 +569,13 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="run one algorithm over a budget grid")
-    run_p.add_argument("--algorithm", choices=ALGORITHMS)
+    run_p.add_argument("--algorithm", choices=ALGORITHMS, default="ast")
     _add_common_options(run_p)
 
     sweep_p = subs.add_parser("sweep", help="run several algorithms over one grid")
-    sweep_p.add_argument("--algorithms", help="comma list (default: all)")
+    sweep_p.add_argument(
+        "--algorithms", default=",".join(ALGORITHMS), help="comma list (default: all)"
+    )
     _add_common_options(sweep_p)
 
     verify_p = subs.add_parser(
@@ -622,21 +594,30 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
 
+    if getattr(args, "config", None):
+        # file values become the subcommand's defaults: argparse converts
+        # them with each flag's type, and explicit flags still win
+        file_values = parse_config_file(args.config)
+        unknown = set(file_values) - (set(vars(args)) - {"command", "config"})
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        {"run": run_p, "sweep": sweep_p}[args.command].set_defaults(**file_values)
+        args = parser.parse_args(argv)
+
     if args.command == "run":
-        opts = _merge_options(args, {"algorithm": "ast"})
-        records = run_experiment(_spec_from_options(opts, opts["algorithm"]))
-        _emit(records, opts)
+        _emit(run_experiment(_spec_from_args(args, args.algorithm)), args)
         return 0
 
     if args.command == "sweep":
-        opts = _merge_options(args, {"algorithms": ",".join(ALGORITHMS)})
         records = []
-        for algorithm in opts["algorithms"].split(","):
-            records.extend(run_experiment(_spec_from_options(opts, algorithm.strip())))
-        _emit(records, opts)
+        for algorithm in args.algorithms.split(","):
+            records.extend(run_experiment(_spec_from_args(args, algorithm.strip())))
+        _emit(records, args)
         return 0
 
     if args.command == "verify":
+        if args.trials < 2:
+            verify_p.error("--trials must be at least 2 (the slack needs a sample deviation)")
         reports = ratio_verification(trials=args.trials, base_seed=args.seed)
         failed = False
         for rep in reports:

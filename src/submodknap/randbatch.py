@@ -78,6 +78,12 @@ def get_seq(current, pool, instance, external_cost, rng):
     return seq
 
 
+def _clears(gains, elem_costs, spent, threshold, residual):
+    """Survivor rule: the gain per unit cost clears ``threshold`` and the
+    element still fits next to ``spent`` within ``residual``."""
+    return (gains / elem_costs >= threshold) & (spent + elem_costs <= residual)
+
+
 def rand_batch(oracle, pool, params, instance, rng, base=()):
     """Select a batch of elements whose conditional density clears a floor.
 
@@ -106,12 +112,9 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
     count = 0
 
     # initial survivor filter: one marginal batch over the whole pool
-    gains = oracle.marginal_batch(base, pool)
-    survivors = [
-        e
-        for e, gain in zip(pool, gains)
-        if gain / costs[e] >= threshold and accepted_cost + costs[e] <= residual
-    ]
+    gains = np.asarray(oracle.marginal_batch(base, pool))
+    clears = _clears(gains, costs[pool], 0.0, threshold, residual)
+    survivors = [e for e, ok in zip(pool, clears) if ok]
 
     while survivors and count < params.accept_cap:
         seq = get_seq(accepted, survivors, instance, instance.budget - residual, rng)
@@ -139,10 +142,9 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
         surv_index = {e: j for j, e in enumerate(survivors)}
         pool_cost = float(surv_costs.sum())
 
-        # per-prefix survivor classification
-        density_ok = gain_rows / surv_costs >= threshold
-        fits = (accepted_cost + prefix_costs)[:, None] + surv_costs <= residual
-        high = density_ok & fits  # still worth taking after this prefix
+        # survivors after each prefix: still worth taking once it is accepted
+        spent = (accepted_cost + prefix_costs)[:, None]
+        high = _clears(gain_rows, surv_costs, spent, threshold, residual)
         negative = gain_rows < 0.0
 
         # damage carried by the prefix itself: negative marginals of the
@@ -165,20 +167,13 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
         t2 = int(np.argmax(damage_rule)) if damage_rule.any() else d
         t_star = min(t1, t2)
 
-        taken = set(seq[:t_star])
         accepted.extend(seq[:t_star])
         accepted_cost += float(prefix_costs[t_star])
         if t2 <= t1:
             count += 1
 
-        # refilter survivors against the extended accepted set, reusing the
-        # sweep row that matches it
-        survivors = [
-            e
-            for j, e in enumerate(survivors)
-            if e not in taken
-            and gain_rows[t_star, j] / costs[e] >= threshold
-            and accepted_cost + costs[e] <= residual
-        ]
+        # the survivors past the extended accepted set are row t_star; the
+        # elements just accepted gain exactly 0 there, so they drop out
+        survivors = [e for e, ok in zip(survivors, high[t_star]) if ok]
 
     return RandBatchOutput(tuple(accepted), tuple(survivors), count)

@@ -10,6 +10,7 @@ from submodknap import (
     KnapsackInstance,
     ModularObjective,
     as_id_array,
+    gen_erdos_renyi,
 )
 
 
@@ -157,6 +158,44 @@ class TestEvaluateExtensions:
         oracle = make_modular_oracle()
         with pytest.raises(BatchContractError):
             oracle.evaluate_extensions([])
+
+
+class TestRepeatedIds:
+    """A queried set is a set: a base that repeats an id is rejected, not
+    evaluated as a multiset."""
+
+    def test_every_method_rejects_repeated_base_ids(self):
+        oracle = CountingOracle(CutObjective(gen_erdos_renyi(20, 0.3, seed=1)))
+        single = oracle.evaluate([3])
+        calls = [
+            lambda: oracle.evaluate([3, 3]),
+            lambda: oracle.evaluate_batch([[3], [3, 5, 3]]),
+            lambda: oracle.evaluate_extensions([((3,), (4,)), ((4, 4), (3,))]),
+            lambda: oracle.marginal_batch((3, 3), (4,)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="repeats"):
+                call()
+            assert oracle.ledger.snapshot() == (1, 1)  # nothing charged
+        assert oracle.evaluate([3]) == single
+
+    def test_rejected_batch_evaluates_nothing(self):
+        seen = []
+
+        class Recording(ModularObjective):
+            def __call__(self, ids):
+                seen.append(tuple(ids))
+                return super().__call__(ids)
+
+        oracle = CountingOracle(Recording([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError):
+            oracle.evaluate_batch([(0,), (1, 2), (2, 2)])
+        assert seen == [] and oracle.ledger.snapshot() == (0, 0)
+
+    def test_repeated_candidates_are_separate_queries(self):
+        oracle = make_modular_oracle()
+        assert oracle.marginal_batch((0,), [1, 1, 0]) == [2.0, 2.0, 0.0]
+        assert oracle.ledger.snapshot() == (4, 1)
 
 
 class TestFeasibility:

@@ -61,12 +61,6 @@ class TestEstimateGreedy:
         est = estimate_greedy(CountingOracle(objective), instance)
         assert est.value == objective(np.asarray(est.solution, dtype=np.intp))
 
-    def test_assumed_factor_default(self):
-        oracle = CountingOracle(ModularObjective([1.0]))
-        instance = KnapsackInstance(np.ones(1), 1.0)
-        est = estimate_greedy(oracle, instance, delta=0.12)
-        assert est.assumed_factor == pytest.approx(1.0 / 8.0 - 0.12)
-
 
 class TestEstimateBestSingleton:
     def test_picks_best_feasible(self):
@@ -84,13 +78,9 @@ class TestEstimateBestSingleton:
 
 
 class TestOptEstimateValidation:
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            OptEstimate((), 0.0, 0.0)
-
     def test_rejects_negative_value(self):
         with pytest.raises(ValueError):
-            OptEstimate((), -1.0, 0.5)
+            OptEstimate((), -1.0)
 
 
 class TestGuessGrid:

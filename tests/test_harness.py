@@ -4,9 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from submodknap import AstConfig, load_features
+from submodknap import AstConfig, harness, load_features
 from submodknap.harness import (
     CSV_HEADER,
+    DEFAULT_BUDGET_FRACTIONS,
     ExperimentRecord,
     ExperimentSpec,
     GenerateSource,
@@ -228,8 +229,66 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config keys"):
             main(["run", "--algorithm", "ast", "--config", str(cfg)])
 
+    def test_badly_typed_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = two\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+
+def captured_specs(monkeypatch, argv):
+    """Specs the CLI would run for ``argv``, without running them."""
+    specs = []
+
+    def fake_run(spec):
+        specs.append(spec)
+        return []
+
+    monkeypatch.setattr(harness, "run_experiment", fake_run)
+    assert main(argv) == 0
+    return specs
+
 
 class TestCli:
+    def test_defaults_come_from_ast_config(self, monkeypatch):
+        (spec,) = captured_specs(monkeypatch, ["run"])
+        assert spec.config == AstConfig()
+        assert spec.algorithm == "ast" and spec.objective == "cut"
+        assert spec.source == GenerateSource(200, 0.2, AstConfig().seed)
+        assert spec.budget_fractions == DEFAULT_BUDGET_FRACTIONS
+        assert spec.trials == 1
+
+    def test_sweep_defaults_to_every_algorithm(self, monkeypatch):
+        specs = captured_specs(monkeypatch, ["sweep", "--epsilon", "0.05"])
+        assert [s.algorithm for s in specs] == ["ast", "density_greedy", "random_feasible"]
+        assert all(s.config == AstConfig(epsilon=0.05) for s in specs)
+
+    @pytest.mark.parametrize(
+        "objective, flags, rejected",
+        [
+            ("image_summ", ["--graph"], "--graph"),
+            ("cut", ["--features"], "--features"),
+            ("revenue", ["--features"], "--features"),
+            ("cut", ["--graph", "--features"], "--features"),
+            ("image_summ", ["--graph", "--features"], "--graph"),
+        ],
+    )
+    def test_data_file_must_suit_objective(self, tmp_path, objective, flags, rejected):
+        path = tmp_path / "data.txt"
+        path.write_text("0 1 0.5\n")
+        argv = ["run", "--objective", objective]
+        for flag in flags:
+            argv += [flag, str(path)]
+        with pytest.raises(ValueError, match=rejected):
+            main(argv)
+
+    def test_verify_needs_two_trials(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--trials", "1"])
+        assert exit_info.value.code == 2
+        assert "--trials" in capsys.readouterr().err
     def test_run_writes_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "r.csv"
         out_svg = tmp_path / "r.svg"
@@ -343,6 +402,10 @@ class TestVerificationEngines:
         for rep in reports:
             assert 0.0 < rep["mean_ratio"] <= 1.0 + 1e-9
             assert rep["opt"] > 0
+
+    def test_ratio_verification_needs_two_trials(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            ratio_verification(trials=1, instances=(("cut", 8, 0.4),))
 
     def test_adaptivity_bench_smoke(self):
         report = adaptivity_bench(sizes=(24, 48), budget=2.0, seeds=(0,), base_seed=3)
