@@ -33,13 +33,10 @@ from .objectives import (
     SimilarityMatrix,
     SumObjective,
     WeightedGraph,
-    cut_value,
     gen_erdos_renyi,
-    image_summ_value,
     load_edge_list,
     load_features,
     revenue_costs,
-    revenue_value,
     similarity_from_features,
 )
 from .randbatch import RandBatchOutput, RandBatchParams, get_seq, rand_batch
@@ -72,7 +69,6 @@ __all__ = [
     "ast",
     "augment_prefixes",
     "brute_force_opt",
-    "cut_value",
     "density_greedy",
     "density_greedy_trace",
     "estimate_best_singleton",
@@ -80,13 +76,11 @@ __all__ = [
     "gamma_and_guesses",
     "gen_erdos_renyi",
     "get_seq",
-    "image_summ_value",
     "load_edge_list",
     "load_features",
     "rand_batch",
     "random_feasible",
     "revenue_costs",
-    "revenue_value",
     "similarity_from_features",
     "split_ground",
     "threshold_loop",

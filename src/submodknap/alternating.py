@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import as_id_array
-from .estimator import ESTIMATORS, estimate_best_singleton, gamma_and_guesses
+from .estimator import ESTIMATORS, check_grid_params, gamma_and_guesses
 from .randbatch import RandBatchParams, rand_batch
 from .unconstrained import unsub_max
 
@@ -46,12 +46,7 @@ class AstConfig:
     estimator: str = "greedy"
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0 / 7.0:
-            raise ValueError("epsilon must lie in (0, 1/7)")
-        if not 0.0 < self.delta < 1.0 / 8.0:
-            raise ValueError("delta must lie in (0, 1/8)")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        check_grid_params(self.alpha, self.epsilon, self.delta)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator: {self.estimator!r}")
 
@@ -138,7 +133,6 @@ def augment_prefixes(oracle, instance, order):
     costs = instance.costs
     budget = instance.budget
     groups = [(order, ())]
-    cand_lists = []
     in_prefix = np.zeros(instance.n, dtype=bool)
     prefix_cost = 0.0
     for i, e in enumerate(order, start=1):
@@ -146,41 +140,17 @@ def augment_prefixes(oracle, instance, order):
         prefix_cost += costs[e]
         fits = np.nonzero((costs + prefix_cost <= budget) | in_prefix)[0]
         groups.append((order[:i], fits))
-        cand_lists.append(fits)
     results = oracle.evaluate_extensions(groups)
     full_value = results[0][0]
 
+    # a prefix's own elements always fit, so every prefix has a candidate
     augmented = []
-    members = set()
-    for i in range(1, len(results)):
-        base_value, ext = results[i]
-        prefix = order[: i]
-        members.add(prefix[-1])
-        cands = cand_lists[i - 1]
-        if ext.size:
-            j = int(np.argmax(ext))
-            pick = int(cands[j])
-            aug = prefix if pick in members else prefix + (pick,)
-            augmented.append((aug, float(ext[j])))
-        else:
-            augmented.append((prefix, base_value))
+    for (prefix, cands), (_, ext) in zip(groups[1:], results[1:]):
+        j = int(np.argmax(ext))
+        pick = int(cands[j])
+        aug = prefix if pick in prefix else prefix + (pick,)
+        augmented.append((aug, float(ext[j])))
     return full_value, augmented
-
-
-def _trivial_result(oracle, instance, estimate):
-    """Fallback when the estimator finds nothing of positive value: return
-    the best feasible singleton, or the empty set if none has positive value."""
-    single = estimate_best_singleton(oracle, instance)
-    return AstResult(
-        solution=single.solution,
-        value=float(single.value),
-        candidates={"S0": (estimate.solution, estimate.value)},
-        x_order=(),
-        y_order=(),
-        x_after_first=(),
-        y_after_second=(),
-        compared_candidates=1,
-    )
 
 
 def ast(oracle, instance, config=None):
@@ -207,13 +177,20 @@ def ast(oracle, instance, config=None):
     estimator_rounds = est_rounds - start_rounds
 
     if estimate.value <= 0.0:
-        result = _trivial_result(oracle, instance, estimate)
-        end_queries, end_rounds = ledger.snapshot()
-        result.estimator_queries = estimator_queries
-        result.estimator_rounds = estimator_rounds
-        result.ast_queries = end_queries - est_queries
-        result.ast_rounds = end_rounds - est_rounds
-        return result
+        # no feasible singleton has positive value (the ESTIMATORS contract),
+        # so no feasible set beats the empty one
+        return AstResult(
+            solution=(),
+            value=0.0,
+            candidates={"S0": (estimate.solution, estimate.value)},
+            x_order=(),
+            y_order=(),
+            x_after_first=(),
+            y_after_second=(),
+            compared_candidates=1,
+            estimator_queries=estimator_queries,
+            estimator_rounds=estimator_rounds,
+        )
 
     grid = gamma_and_guesses(
         estimate.value,

@@ -81,15 +81,13 @@ def density_greedy_trace(oracle, instance):
     value = 0.0
     singles = {}
     remaining = [e for e in range(instance.n) if costs[e] <= budget]
-    first_round = True
     while True:
         fits = [e for e in remaining if used + costs[e] <= budget]
         if not fits:
             break
         gains = oracle.marginal_batch(selected, fits)
-        if first_round:
+        if not selected:
             singles = dict(zip(fits, gains))
-            first_round = False
         best = None
         best_density = 0.0
         for e, gain in zip(fits, gains):

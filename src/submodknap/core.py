@@ -65,10 +65,6 @@ class KnapsackInstance:
         return self.costs.size
 
     @property
-    def total_cost(self):
-        return float(np.sort(self.costs).sum())
-
-    @property
     def max_feasible_cardinality(self):
         """Largest number of elements any feasible set can contain."""
         prefix = np.cumsum(np.sort(self.costs))
@@ -119,14 +115,14 @@ class CountingOracle:
     Parameters
     ----------
     objective:
-        Callable mapping a 1-D array of element ids to a float.  Its ground
-        set size is taken from ``objective.n`` unless ``n`` is given.
+        Callable mapping a 1-D array of element ids to a float; its ground
+        set size is ``objective.n``.
     """
 
-    def __init__(self, objective, n=None, ledger=None):
+    def __init__(self, objective):
         self.objective = objective
-        self.n = int(n if n is not None else objective.n)
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.n = int(objective.n)
+        self.ledger = QueryLedger()
 
     def _check_ids(self, arr):
         if arr.size:
@@ -172,8 +168,6 @@ class CountingOracle:
                 raise ValueError("a queried set repeats an element id")
             prepared.append((base_arr, cand_arr, members))
             queries += cand_arr.size + 1
-        if queries < 1:
-            raise BatchContractError("empty batch: a round must contain at least one query")
 
         out = []
         objective = self.objective

@@ -73,10 +73,24 @@ def estimate_best_singleton(oracle, instance):
     return OptEstimate(solution, value)
 
 
+# Every estimator takes ``(oracle, instance)`` and returns an OptEstimate
+# whose value is 0 only when no feasible singleton has positive value.  By
+# submodularity f(S) <= sum of f({e}) <= 0 for every feasible S then, so
+# ``ast`` returns the empty set without further queries.
 ESTIMATORS = {
     "greedy": estimate_greedy,
     "singleton": estimate_best_singleton,
 }
+
+
+def check_grid_params(alpha, epsilon, delta):
+    """Raise ``ValueError`` unless (alpha, epsilon, delta) can shape a grid."""
+    if not 0.0 < epsilon < 1.0 / 7.0:
+        raise ValueError("epsilon must lie in (0, 1/7)")
+    if not 0.0 < delta < 1.0 / 8.0:
+        raise ValueError("delta must lie in (0, 1/8)")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
 
 
 def gamma_and_guesses(estimate_value, budget, *, alpha=1.0 / 7.0, epsilon=0.1, delta=0.12):
@@ -87,12 +101,7 @@ def gamma_and_guesses(estimate_value, budget, *, alpha=1.0 / 7.0, epsilon=0.1, d
     selection analysis needs.  The grid length and the sampler's acceptance
     cap depend only on (alpha, epsilon, delta), not on the instance.
     """
-    if not 0.0 < epsilon < 1.0 / 7.0:
-        raise ValueError("epsilon must lie in (0, 1/7)")
-    if not 0.0 < delta < 1.0 / 8.0:
-        raise ValueError("delta must lie in (0, 1/8)")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    check_grid_params(alpha, epsilon, delta)
     if budget <= 0.0:
         raise ValueError("budget must be positive")
     if estimate_value <= 0.0:

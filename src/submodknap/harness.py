@@ -431,8 +431,11 @@ def adaptivity_bench(
     Holds the budget constant while the ground set grows, so the measured
     depth reflects the algorithm's scheduling rather than the solution size.
     Fits mean rounds against ``ln n`` and reports the fit quality and the
-    largest-to-smallest round ratio.
+    largest-to-smallest round ratio.  The fit needs at least two distinct
+    sizes; fewer raise ``ValueError`` before any solve.
     """
+    if len(set(sizes)) < 2:
+        raise ValueError("sizes must hold at least two distinct values to fit rounds against ln n")
     mean_rounds = []
     detail = {}
     for n in sizes:
@@ -488,6 +491,10 @@ def parse_config_file(path):
 
 def _parse_fractions(text):
     return tuple(float(x) for x in text.split(",") if x.strip())
+
+
+def _parse_ints(text):
+    return tuple(int(x) for x in text.split(","))
 
 
 def _add_common_options(sub):
@@ -587,22 +594,24 @@ def main(argv=None):
     bench_p = subs.add_parser(
         "bench-rounds", help="adaptivity scaling suite (exit 1 on failure)"
     )
-    bench_p.add_argument("--sizes", default="64,256,1024,4096")
+    bench_p.add_argument("--sizes", type=_parse_ints, default="64,256,1024,4096")
     bench_p.add_argument("--budget", type=float, default=8.0)
     bench_p.add_argument("--avg-degree", type=float, default=20.0)
-    bench_p.add_argument("--bench-seeds", default="0,1,2")
+    bench_p.add_argument("--bench-seeds", type=_parse_ints, default="0,1,2")
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
     if getattr(args, "config", None):
-        # file values become the subcommand's defaults: argparse converts
-        # them with each flag's type, and explicit flags still win
+        # file values are parsed as flags placed between the command and the
+        # command line's own flags: argparse checks their types and choices,
+        # and explicit flags still win
         file_values = parse_config_file(args.config)
         unknown = set(file_values) - (set(vars(args)) - {"command", "config"})
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        {"run": run_p, "sweep": sweep_p}[args.command].set_defaults(**file_values)
-        args = parser.parse_args(argv)
+        tokens = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
 
     if args.command == "run":
         _emit(run_experiment(_spec_from_args(args, args.algorithm)), args)
@@ -632,11 +641,12 @@ def main(argv=None):
         print("verify:", "FAIL" if failed else "PASS")
         return 1 if failed else 0
 
-    sizes = tuple(int(x) for x in args.sizes.split(","))
-    seeds = tuple(int(x) for x in args.bench_seeds.split(","))
-    report = adaptivity_bench(
-        sizes=sizes, budget=args.budget, avg_degree=args.avg_degree, seeds=seeds
-    )
+    try:
+        report = adaptivity_bench(
+            sizes=args.sizes, budget=args.budget, avg_degree=args.avg_degree, seeds=args.bench_seeds
+        )
+    except ValueError as exc:
+        bench_p.error(str(exc))
     for n, mean in zip(report["sizes"], report["mean_rounds"]):
         print(f"n={n:<6} mean rounds={mean:.1f} {report['rounds_detail'][n]}")
     print(

@@ -248,40 +248,15 @@ class SumObjective:
         return float(sum(p(ids) for p in self.parts))
 
 
-def cut_value(graph, ids):
-    """Weighted cut of a node set (see :class:`CutObjective`)."""
-    return CutObjective(graph)(as_id_array(ids))
-
-
-def revenue_value(graph, ids):
-    """Revenue of a node set (see :class:`RevenueObjective`)."""
-    return RevenueObjective(graph)(as_id_array(ids))
-
-
-def image_summ_value(matrix, ids):
-    """Image-summary score of a set (see :class:`ImageSummaryObjective`)."""
-    return ImageSummaryObjective(matrix)(as_id_array(ids))
-
-
-def revenue_costs(graph, floor=1e-6, variant="saturating"):
+def revenue_costs(graph):
     """Per-node acquisition costs derived from local edge-weight mass.
 
-    ``saturating`` (default) uses ``1 - exp(-sqrt(s))`` where ``s`` is the
-    node's total incident edge weight; it approaches 1 for well-connected
-    nodes.  ``growing`` uses ``exp(sqrt(s)) - 1`` instead.  Both are floored
-    at ``floor`` so isolated nodes still carry a positive cost.
+    A node with total incident edge weight ``s`` costs ``1 - exp(-sqrt(s))``,
+    which approaches 1 for well-connected nodes; costs are floored at 1e-6
+    so isolated nodes still carry a positive cost.
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    strength = graph.weighted_degrees()
-    root = np.sqrt(strength)
-    if variant == "saturating":
-        costs = 1.0 - np.exp(-root)
-    elif variant == "growing":
-        costs = np.exp(root) - 1.0
-    else:
-        raise ValueError(f"unknown cost variant: {variant!r}")
-    return np.maximum(costs, floor)
+    costs = 1.0 - np.exp(-np.sqrt(graph.weighted_degrees()))
+    return np.maximum(costs, 1e-6)
 
 
 def gen_erdos_renyi(n, p, seed):

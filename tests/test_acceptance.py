@@ -365,17 +365,17 @@ def test_c08_objective_correctness():
         )
 
     # normalization and the hand-computed reference values
-    from submodknap import WeightedGraph, cut_value, image_summ_value, revenue_value
+    from submodknap import WeightedGraph
 
     star = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 4.0), (0, 3, 9.0)])
     triangle = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     path = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    assert revenue_value(star, ()) == 0.0
-    assert revenue_value(star, (0,)) == pytest.approx(6.0)
-    assert cut_value(triangle, (0,)) == 2.0
-    assert cut_value(path, (1,)) == 2.0
-    assert image_summ_value(SimilarityMatrix(np.ones((2, 2))), (0,)) == pytest.approx(1.0)
-    assert image_summ_value(SimilarityMatrix(np.ones((1, 1))), (0,)) == pytest.approx(0.0)
+    assert RevenueObjective(star)(()) == 0.0
+    assert RevenueObjective(star)((0,)) == pytest.approx(6.0)
+    assert CutObjective(triangle)((0,)) == 2.0
+    assert CutObjective(path)((1,)) == 2.0
+    assert ImageSummaryObjective(SimilarityMatrix(np.ones((2, 2))))((0,)) == pytest.approx(1.0)
+    assert ImageSummaryObjective(SimilarityMatrix(np.ones((1, 1))))((0,)) == pytest.approx(0.0)
     two = WeightedGraph(2, [(0, 1, 1.0)])
     assert revenue_costs(two)[0] == pytest.approx(1.0 - math.exp(-1.0))
     for objective in (cut, revenue, image):

@@ -114,10 +114,13 @@ class TestEndToEnd:
     def test_zero_function_trivial_path(self):
         objective = ModularObjective([0.0, 0.0, 0.0])
         instance = KnapsackInstance(np.ones(3), 2.0)
-        _, result = run_small(objective, instance)
+        oracle, result = run_small(objective, instance)
         assert result.solution == ()
         assert result.value == 0.0
         assert result.compared_candidates == 1
+        # the estimator's singleton round already proves the empty set optimal
+        assert result.ast_rounds == 0 and result.ast_queries == 0
+        assert oracle.ledger.snapshot() == (result.estimator_queries, result.estimator_rounds)
 
     def test_deterministic_given_seed(self):
         graph = gen_erdos_renyi(20, 0.4, seed=1)

@@ -1,6 +1,7 @@
-"""The short demos run to completion against this checkout's package.
+"""The short demos and the ``python -m submodknap`` entry point run to
+completion against this checkout's package.
 
-Each demo runs in a fresh interpreter, from an empty working directory, with
+Each runs in a fresh interpreter, from an empty working directory, with
 ``src`` first on the import path.  The longer demos (``budget_sweep``,
 ``adaptivity_scaling``) are left out to keep the suite fast.
 """
@@ -15,12 +16,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["quickstart.py", "objectives_tour.py"])
-def test_demo_runs(demo, tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    [
+        [str(ROOT / "demos" / "quickstart.py")],
+        [str(ROOT / "demos" / "objectives_tour.py")],
+        # the package's own entry point, __main__.py
+        ["-m", "submodknap", "run", "--algorithm", "random_feasible", "--gen-n", "20",
+         "--budget-fracs", "0.5"],
+    ],
+    ids=["quickstart.py", "objectives_tour.py", "python-m-submodknap"],
+)
+def test_demo_runs(command, tmp_path):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, *command],
         cwd=tmp_path,
         env=env,
         capture_output=True,

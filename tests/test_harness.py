@@ -231,11 +231,17 @@ class TestConfigFile:
 
     def test_badly_typed_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("trials = two\n")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--config", str(cfg)])
-        assert exit_info.value.code == 2
-        assert "--trials" in capsys.readouterr().err
+        # a value outside a flag's choices is checked like a bad type
+        for line, flag in [
+            ("trials = two", "--trials"),
+            ("svg_y = bogus", "--svg-y"),
+            ("estimator = nope", "--estimator"),
+        ]:
+            cfg.write_text(line + "\n")
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", "--config", str(cfg)])
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 def captured_specs(monkeypatch, argv):
@@ -289,6 +295,23 @@ class TestCli:
             main(["verify", "--trials", "1"])
         assert exit_info.value.code == 2
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sizes", "64"], "two distinct"),
+            (["--sizes", "64,64"], "two distinct"),
+            (["--sizes", "64,x"], "--sizes"),
+            (["--bench-seeds", "x"], "--bench-seeds"),
+            (["--bench-seeds", ""], "--bench-seeds"),
+        ],
+    )
+    def test_bench_rounds_rejects_a_gate_it_cannot_compute(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench-rounds", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_run_writes_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "r.csv"
         out_svg = tmp_path / "r.svg"
@@ -406,6 +429,11 @@ class TestVerificationEngines:
     def test_ratio_verification_needs_two_trials(self):
         with pytest.raises(ValueError, match="at least 2"):
             ratio_verification(trials=1, instances=(("cut", 8, 0.4),))
+
+    @pytest.mark.parametrize("sizes", [(24,), (24, 24)])
+    def test_adaptivity_bench_needs_two_distinct_sizes(self, sizes):
+        with pytest.raises(ValueError, match="two distinct"):
+            adaptivity_bench(sizes=sizes, budget=2.0, seeds=(0,))
 
     def test_adaptivity_bench_smoke(self):
         report = adaptivity_bench(sizes=(24, 48), budget=2.0, seeds=(0,), base_seed=3)

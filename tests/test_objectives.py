@@ -13,13 +13,10 @@ from submodknap import (
     SimilarityMatrix,
     SumObjective,
     WeightedGraph,
-    cut_value,
     gen_erdos_renyi,
-    image_summ_value,
     load_edge_list,
     load_features,
     revenue_costs,
-    revenue_value,
     similarity_from_features,
 )
 from conftest import naive_cut, naive_image_summary, naive_revenue
@@ -27,14 +24,14 @@ from conftest import naive_cut, naive_image_summary, naive_revenue
 
 class TestRevenue:
     def test_empty_set(self, star_149):
-        assert revenue_value(star_149, ()) == 0.0
+        assert RevenueObjective(star_149)(()) == 0.0
 
     def test_star_center(self, star_149):
         # leaves contribute sqrt(1) + sqrt(4) + sqrt(9)
-        assert revenue_value(star_149, (0,)) == pytest.approx(6.0)
+        assert RevenueObjective(star_149)((0,)) == pytest.approx(6.0)
 
     def test_full_set_is_zero(self, star_149):
-        assert revenue_value(star_149, (0, 1, 2, 3)) == 0.0
+        assert RevenueObjective(star_149)((0, 1, 2, 3)) == 0.0
 
     def test_non_negative_on_random_sets(self):
         graph = gen_erdos_renyi(40, 0.3, seed=1)
@@ -60,27 +57,17 @@ class TestRevenueCosts:
         graph = gen_erdos_renyi(50, 0.2, seed=3)
         assert np.all(revenue_costs(graph) > 0.0)
 
-    def test_growing_variant(self):
-        graph = WeightedGraph(2, [(0, 1, 4.0)])
-        costs = revenue_costs(graph, variant="growing")
-        assert costs[0] == pytest.approx(math.exp(2.0) - 1.0)
-
-    def test_unknown_variant_rejected(self):
-        graph = WeightedGraph(2, [(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="variant"):
-            revenue_costs(graph, variant="bogus")
-
 
 class TestCut:
     def test_empty_and_full(self, unit_triangle):
-        assert cut_value(unit_triangle, ()) == 0.0
-        assert cut_value(unit_triangle, (0, 1, 2)) == 0.0
+        assert CutObjective(unit_triangle)(()) == 0.0
+        assert CutObjective(unit_triangle)((0, 1, 2)) == 0.0
 
     def test_triangle_singleton(self, unit_triangle):
-        assert cut_value(unit_triangle, (0,)) == 2.0
+        assert CutObjective(unit_triangle)((0,)) == 2.0
 
     def test_path_middle_node(self, unit_path):
-        assert cut_value(unit_path, (1,)) == 2.0
+        assert CutObjective(unit_path)((1,)) == 2.0
 
     def test_non_negative_on_random_sets(self):
         graph = gen_erdos_renyi(40, 0.3, seed=4)
@@ -94,16 +81,16 @@ class TestCut:
 class TestImageSummary:
     def test_empty_set(self):
         matrix = SimilarityMatrix(np.ones((2, 2)))
-        assert image_summ_value(matrix, ()) == 0.0
+        assert ImageSummaryObjective(matrix)(()) == 0.0
 
     def test_two_identical_images(self):
         matrix = SimilarityMatrix(np.ones((2, 2)))
         # coverage 1 + 1, penalty (1/2)(1 + 1)
-        assert image_summ_value(matrix, (0,)) == pytest.approx(1.0)
+        assert ImageSummaryObjective(matrix)((0,)) == pytest.approx(1.0)
 
     def test_single_image_ground_set(self):
         matrix = SimilarityMatrix(np.ones((1, 1)))
-        assert image_summ_value(matrix, (0,)) == pytest.approx(0.0)
+        assert ImageSummaryObjective(matrix)((0,)) == pytest.approx(0.0)
 
     def test_non_negative_when_similarities_are(self):
         rng = np.random.default_rng(6)
