@@ -125,7 +125,9 @@ def augment_prefixes(oracle, instance, order):
     All prefix extensions plus the full set itself are evaluated in one
     adaptive round.  For each prefix the winning element is the feasible one
     (anywhere in the ground set, including inside the prefix, where it adds
-    nothing) with the highest resulting value, ties to the lowest id.
+    nothing) with the highest resulting value, ties to the lowest id.  The
+    winner's recorded value is its set's from-scratch value, which the round
+    has already paid for.
 
     Returns ``(value_of_full_set, [(augmented_ids, value), ...])``.
     """
@@ -149,7 +151,7 @@ def augment_prefixes(oracle, instance, order):
         j = int(np.argmax(ext))
         pick = int(cands[j])
         aug = prefix if pick in prefix else prefix + (pick,)
-        augmented.append((aug, float(ext[j])))
+        augmented.append((aug, oracle.exact_value(aug)))
     return full_value, augmented
 
 

@@ -109,14 +109,24 @@ class CountingOracle:
 
     The wrapped objective must be a pure function of the queried set: the same
     set always yields the same value regardless of query history, and
-    ``f(empty) = 0``.  Objectives shipped in :mod:`submodknap.objectives` sort
-    ids internally, so the value does not depend on insertion order either.
+    ``f(empty) = 0``.  It offers ``n`` (the ground-set size), ``__call__(ids)``
+    (``f(ids)`` from scratch, whatever the order of ``ids``) and
+    ``gains(base, candidates)`` (every ``f(u | base)`` at once, exactly
+    ``0.0`` for a candidate inside ``base``); the objectives in
+    :mod:`submodknap.objectives` all do.
+
+    Float and tie policy.  A base is evaluated with ``__call__`` and its
+    one-element extensions as ``f(base) + gains``, which can differ from a
+    from-scratch ``f(base + {u})`` in the last bits.  Gains steer every
+    threshold test, stopping rule and argmax.  Every value the solver
+    reports (``X``, ``Y``, ``S1``, the augmented winners, the estimator's
+    ``S0``) is ``__call__`` of the reported set: a base value, or
+    :meth:`exact_value` of a set already charged as an extension.
 
     Parameters
     ----------
     objective:
-        Callable mapping a 1-D array of element ids to a float; its ground
-        set size is ``objective.n``.
+        The set function; see above for what it must offer.
     """
 
     def __init__(self, objective):
@@ -145,9 +155,10 @@ class CountingOracle:
         """Evaluate base sets and their one-element extensions in one round.
 
         ``groups`` is a sequence of ``(base, candidates)`` pairs.  For each
-        pair the oracle evaluates ``f(base)`` and ``f(base + {u})`` for every
-        candidate ``u``; a candidate already inside its base contributes the
-        base set itself (the extension adds nothing).  The round is charged
+        pair the oracle evaluates ``f(base)`` from scratch and
+        ``f(base + {u}) = f(base) + f(u | base)`` for every candidate ``u``
+        with one ``gains`` call; a candidate already inside its base gains
+        exactly 0, so its value is the base value.  The round is charged
         ``sum(len(candidates) + 1)`` queries: one per base, one per extension.
 
         Returns a list of ``(base_value, extension_values)`` pairs with
@@ -163,30 +174,28 @@ class CountingOracle:
             cand_arr = as_id_array(candidates)
             self._check_ids(base_arr)
             self._check_ids(cand_arr)
-            members = set(base_arr.tolist())
-            if len(members) != base_arr.size:
+            if len(set(base_arr.tolist())) != base_arr.size:
                 raise ValueError("a queried set repeats an element id")
-            prepared.append((base_arr, cand_arr, members))
+            prepared.append((base_arr, cand_arr))
             queries += cand_arr.size + 1
 
         out = []
         objective = self.objective
-        for base_arr, cand_arr, members in prepared:
+        for base_arr, cand_arr in prepared:
             base_value = float(objective(base_arr))
-            ext_values = np.empty(cand_arr.size, dtype=np.float64)
-            if cand_arr.size:
-                buf = np.empty(base_arr.size + 1, dtype=np.intp)
-                buf[:-1] = base_arr
-                for j, u in enumerate(cand_arr.tolist()):
-                    if u in members:
-                        # base + {u} is the base set; same set, same value.
-                        ext_values[j] = base_value
-                    else:
-                        buf[-1] = u
-                        ext_values[j] = objective(buf)
-            out.append((base_value, ext_values))
+            out.append((base_value, base_value + objective.gains(base_arr, cand_arr)))
         self.ledger.charge(queries)
         return out
+
+    def exact_value(self, ids):
+        """From-scratch ``f(ids)`` of a set already charged as a base or an
+        extension (or of the empty set, 0 by contract); charges nothing.
+
+        An extension value is a base value plus a gain.  A caller that
+        reports an extension's value takes it from here instead, so the
+        reported number is exact.
+        """
+        return float(self.objective(ids))
 
     def marginal_batch(self, base, candidates):
         """Marginal gains ``f(u | base)`` for each candidate, in one round.

@@ -66,11 +66,12 @@ def estimate_greedy(oracle, instance):
 def estimate_best_singleton(oracle, instance):
     """Cheapest possible estimator: the best feasible single element, found
     with one marginal batch over the feasible singletons (none if nothing
-    fits)."""
+    fits).  The recorded value is the winner's from-scratch value, which
+    that batch has already paid for."""
     fits = [e for e in range(instance.n) if instance.costs[e] <= instance.budget]
     values = dict(zip(fits, oracle.marginal_batch((), fits))) if fits else {}
-    solution, value = best_singleton(values)
-    return OptEstimate(solution, value)
+    solution, _ = best_singleton(values)
+    return OptEstimate(solution, oracle.exact_value(solution))
 
 
 # Every estimator takes ``(oracle, instance)`` and returns an OptEstimate

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -489,12 +490,24 @@ def parse_config_file(path):
     return values
 
 
-def _parse_fractions(text):
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _comma_list(convert, noun, skip_blank=False):
+    """An argparse ``type=`` for a comma list of ``convert`` values; a bad
+    item is a usage error that names the flag and ``noun``."""
+
+    def parse(text):
+        items = [x for x in text.split(",") if x.strip() or not skip_blank]
+        try:
+            return tuple(convert(x) for x in items)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {noun}, got {text!r}"
+            ) from None
+
+    return parse
 
 
-def _parse_ints(text):
-    return tuple(int(x) for x in text.split(","))
+_parse_fractions = _comma_list(float, "numbers", skip_blank=True)
+_parse_ints = _comma_list(int, "integers")
 
 
 def _add_common_options(sub):
@@ -594,10 +607,11 @@ def main(argv=None):
     bench_p = subs.add_parser(
         "bench-rounds", help="adaptivity scaling suite (exit 1 on failure)"
     )
-    bench_p.add_argument("--sizes", type=_parse_ints, default="64,256,1024,4096")
-    bench_p.add_argument("--budget", type=float, default=8.0)
-    bench_p.add_argument("--avg-degree", type=float, default=20.0)
-    bench_p.add_argument("--bench-seeds", type=_parse_ints, default="0,1,2")
+    bench = inspect.signature(adaptivity_bench).parameters
+    bench_p.add_argument("--sizes", type=_parse_ints, default=bench["sizes"].default)
+    bench_p.add_argument("--budget", type=float, default=bench["budget"].default)
+    bench_p.add_argument("--avg-degree", type=float, default=bench["avg_degree"].default)
+    bench_p.add_argument("--bench-seeds", type=_parse_ints, default=bench["seeds"].default)
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
@@ -625,9 +639,10 @@ def main(argv=None):
         return 0
 
     if args.command == "verify":
-        if args.trials < 2:
-            verify_p.error("--trials must be at least 2 (the slack needs a sample deviation)")
-        reports = ratio_verification(trials=args.trials, base_seed=args.seed)
+        try:
+            reports = ratio_verification(trials=args.trials, base_seed=args.seed)
+        except ValueError as exc:
+            verify_p.error(f"argument --trials: {exc}")
         failed = False
         for rep in reports:
             status = "PASS" if rep["passed"] else "FAIL"

@@ -3,8 +3,25 @@
 All three are normalized (``f(empty) = 0``) non-negative submodular set
 functions; the cut and image-summary objectives are non-monotone.  Objective
 classes precompute adjacency structure once and are immutable afterwards, so
-concurrent read-only evaluation is safe.  Every evaluation is from scratch:
-ids are sorted internally, making values independent of insertion order.
+concurrent read-only evaluation is safe.
+
+Every objective offers the interface :class:`~submodknap.core.CountingOracle`
+relies on:
+
+- ``n``: the ground-set size;
+- ``__call__(ids)``: ``f(ids)`` from scratch; ids are sorted internally, so
+  the value does not depend on insertion order;
+- ``gains(base, candidates)``: the marginal gains ``f(u | base)`` of every
+  candidate in one vectorized pass, exactly ``0.0`` for a candidate already
+  in ``base`` (``base`` repeats no id; candidates may repeat).
+
+Float and tie policy.  A gain and the difference of two from-scratch values
+are the same number up to rounding, not always bit for bit.  Gains steer
+every threshold test, stopping rule and argmax, so only a comparison tied to
+within rounding can go the other way.  Every value the solver reports (``X``,
+``Y``, ``S1``, the augmented winners, the estimator's ``S0``) comes from
+``__call__`` on the reported set, so it is the exact from-scratch number
+whichever path found the set.
 """
 
 from __future__ import annotations
@@ -161,43 +178,79 @@ def similarity_from_features(feats):
     return SimilarityMatrix(sim)
 
 
-class CutObjective:
-    """Weighted cut: total weight of edges with exactly one endpoint inside."""
+def _members(n, ids):
+    """Boolean mask of ``ids`` over a ground set of ``n`` elements."""
+    inside = np.zeros(n, dtype=bool)
+    inside[ids] = True
+    return inside
+
+
+class _GraphObjective:
+    """CSR adjacency shared by the graph objectives."""
 
     def __init__(self, graph):
         self.n = graph.n
         self._indptr, self._indices, self._data = graph.adjacency()
+
+    def _weight_to(self, ids):
+        """Total edge weight from ``ids`` to every node."""
+        pos = _row_block_positions(self._indptr, ids)
+        return np.bincount(self._indices[pos], weights=self._data[pos], minlength=self.n)
+
+
+class CutObjective(_GraphObjective):
+    """Weighted cut: total weight of edges with exactly one endpoint inside."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self._degrees = graph.weighted_degrees()
 
     def __call__(self, ids):
         ids = np.sort(as_id_array(ids))
         if ids.size == 0 or ids.size == self.n:
             return 0.0
-        inside = np.zeros(self.n, dtype=bool)
-        inside[ids] = True
+        inside = _members(self.n, ids)
         pos = _row_block_positions(self._indptr, ids)
         crossing = ~inside[self._indices[pos]]
         return float(self._data[pos][crossing].sum())
 
+    def gains(self, base, candidates):
+        """``deg(u) - 2 w(u, base)``: u's edges into ``base`` stop crossing,
+        its other edges start to."""
+        base = as_id_array(base)
+        cands = as_id_array(candidates)
+        to_base = self._weight_to(base)[cands]
+        return np.where(
+            _members(self.n, base)[cands], 0.0, self._degrees[cands] - 2.0 * to_base
+        )
 
-class RevenueObjective:
+
+class RevenueObjective(_GraphObjective):
     """Network revenue: sum over outside nodes of the square root of the
     total edge weight linking them to the selected set."""
-
-    def __init__(self, graph):
-        self.n = graph.n
-        self._indptr, self._indices, self._data = graph.adjacency()
 
     def __call__(self, ids):
         ids = np.sort(as_id_array(ids))
         if ids.size == 0:
             return 0.0
-        inside = np.zeros(self.n, dtype=bool)
-        inside[ids] = True
-        pos = _row_block_positions(self._indptr, ids)
-        influence = np.bincount(
-            self._indices[pos], weights=self._data[pos], minlength=self.n
-        )
-        return float(np.sqrt(influence[~inside]).sum())
+        inside = _members(self.n, ids)
+        return float(np.sqrt(self._weight_to(ids)[~inside]).sum())
+
+    def gains(self, base, candidates):
+        """Each outside neighbour v of u gains ``sqrt(I(v) + w(u, v)) -
+        sqrt(I(v))``, and u stops paying ``sqrt(I(u))``, where ``I`` is the
+        edge weight from ``base``."""
+        base = as_id_array(base)
+        cands = as_id_array(candidates)
+        inside = _members(self.n, base)
+        influence = self._weight_to(base)
+        pos = _row_block_positions(self._indptr, cands)
+        nbrs = self._indices[pos]
+        before = influence[nbrs]
+        rise = np.where(inside[nbrs], 0.0, np.sqrt(before + self._data[pos]) - np.sqrt(before))
+        owner = np.repeat(np.arange(cands.size), self._indptr[cands + 1] - self._indptr[cands])
+        raised = np.bincount(owner, weights=rise, minlength=cands.size)
+        return np.where(inside[cands], 0.0, raised - np.sqrt(influence[cands]))
 
 
 class ImageSummaryObjective:
@@ -206,6 +259,7 @@ class ImageSummaryObjective:
     def __init__(self, matrix):
         self.n = matrix.n
         self._sim = matrix.sim
+        self._colsum = matrix.sim.sum(axis=0)
 
     def __call__(self, ids):
         ids = np.sort(as_id_array(ids))
@@ -213,6 +267,18 @@ class ImageSummaryObjective:
             return 0.0
         cols = self._sim[:, ids]
         return float(cols.max(axis=1).sum() - cols.sum() / self.n)
+
+    def gains(self, base, candidates):
+        """``sum_i max(sim[i, u] - cur_i, 0) - colsum[u] / n``, where
+        ``cur_i`` is row i's best similarity into ``base``."""
+        base = as_id_array(base)
+        cands = as_id_array(candidates)
+        rows = self._sim[cands]  # row u is column u: the matrix is symmetric
+        if base.size:
+            rows -= self._sim[base].max(axis=0)
+            np.maximum(rows, 0.0, out=rows)
+        gains = rows.sum(axis=1) - self._colsum[cands] / self.n
+        return np.where(_members(self.n, base)[cands], 0.0, gains)
 
 
 class ModularObjective:
@@ -231,6 +297,10 @@ class ModularObjective:
             return 0.0
         return float(self.values[ids].sum())
 
+    def gains(self, base, candidates):
+        cands = as_id_array(candidates)
+        return np.where(_members(self.n, as_id_array(base))[cands], 0.0, self.values[cands])
+
 
 class SumObjective:
     """Pointwise sum of set functions over a common ground set."""
@@ -246,6 +316,11 @@ class SumObjective:
     def __call__(self, ids):
         ids = as_id_array(ids)
         return float(sum(p(ids) for p in self.parts))
+
+    def gains(self, base, candidates):
+        base = as_id_array(base)
+        cands = as_id_array(candidates)
+        return sum(p.gains(base, cands) for p in self.parts)
 
 
 def revenue_costs(graph):

@@ -70,6 +70,23 @@ class TestAugmentPrefixes:
         augment_prefixes(oracle, instance, (0, 1, 2, 3))
         assert oracle.ledger.adaptive_rounds == 1
 
+    def test_values_are_exact_and_charges_unchanged(self):
+        # winners picked by gains, values recomputed from scratch: each
+        # equals the objective on its set bit for bit, at no extra charge;
+        # the winners and the ledger are those of per-candidate evaluation
+        graph = gen_erdos_renyi(40, 0.3, seed=5)
+        objective = CutObjective(graph)
+        oracle = CountingOracle(objective)
+        instance = KnapsackInstance(graph.node_costs, 0.25 * graph.node_costs.sum())
+        full_value, augmented = augment_prefixes(oracle, instance, (3, 11, 27, 8, 19))
+        assert full_value == objective((3, 11, 27, 8, 19))
+        assert [aug for aug, _ in augmented] == [
+            (3, 24), (3, 11, 24), (3, 11, 27, 24), (3, 11, 27, 8, 32), (3, 11, 27, 8, 19, 32)
+        ]
+        for aug, value in augmented:
+            assert value == objective(aug)
+        assert oracle.ledger.snapshot() == (206, 1)
+
 
 class TestConfigValidation:
     def test_benchmark_defaults(self):

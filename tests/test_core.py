@@ -154,6 +154,14 @@ class TestEvaluateExtensions:
         oracle.evaluate_extensions([((0,), (1, 2)), ((), ())])
         assert oracle.ledger.snapshot() == (4, 1)  # (1+2) + (1+0)
 
+    def test_exact_value_charges_nothing(self):
+        objective = CutObjective(gen_erdos_renyi(20, 0.3, seed=2))
+        oracle = CountingOracle(objective)
+        _, ext = oracle.evaluate_extensions([((3, 9), (4, 11))])[0]
+        assert oracle.exact_value((3, 9, 11)) == objective((3, 9, 11))
+        assert oracle.exact_value((3, 9, 11)) == pytest.approx(ext[1], rel=1e-12)
+        assert oracle.ledger.snapshot() == (3, 1)
+
     def test_empty_group_list_rejected(self):
         oracle = make_modular_oracle()
         with pytest.raises(BatchContractError):

@@ -25,6 +25,10 @@ class LookupObjective:
     def __call__(self, ids):
         return self.table[frozenset(int(e) for e in ids)]
 
+    def gains(self, base, candidates):
+        base = frozenset(int(e) for e in base)
+        return np.array([self(base | {int(u)}) - self(base) for u in candidates])
+
 
 class TestEstimateGreedy:
     def test_modular_example(self, unit_instance_3):

@@ -312,6 +312,22 @@ class TestCli:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bench-rounds", "--sizes", "64,x"], "--sizes"),
+            (["bench-rounds", "--bench-seeds", "0,1.5"], "--bench-seeds"),
+            (["run", "--budget-fracs", "0.5,x"], "--budget-fracs"),
+        ],
+    )
+    def test_bad_comma_list_names_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a comma list" in err
+        assert "_parse" not in err
+
     def test_run_writes_outputs(self, tmp_path, capsys):
         out_csv = tmp_path / "r.csv"
         out_svg = tmp_path / "r.svg"

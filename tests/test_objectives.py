@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodknap import (
     CutObjective,
@@ -349,3 +351,91 @@ class TestModularAndSum:
     def test_sum_objective_requires_matching_ground_sets(self):
         with pytest.raises(ValueError, match="ground set"):
             SumObjective(ModularObjective([1.0]), ModularObjective([1.0, 2.0]))
+
+
+def _objective_and_naive(kind, n, seed):
+    """A shipped objective on ``n`` elements and its naive reference."""
+    rng = np.random.default_rng(seed)
+    if kind == "image_summ":
+        # normal features give similarities of both signs
+        matrix = similarity_from_features(rng.normal(size=(n, 4)))
+        return ImageSummaryObjective(matrix), lambda ids: naive_image_summary(matrix, ids)
+    graph = gen_erdos_renyi(n, 0.5, seed)
+    values = rng.normal(size=n)
+
+    def naive_modular(ids):
+        return sum(values[e] for e in ids)
+
+    if kind == "cut":
+        return CutObjective(graph), lambda ids: naive_cut(graph, ids)
+    if kind == "revenue":
+        return RevenueObjective(graph), lambda ids: naive_revenue(graph, ids)
+    if kind == "modular":
+        return ModularObjective(values), naive_modular
+    objective = SumObjective(ModularObjective(values), CutObjective(graph))
+    return objective, lambda ids: naive_modular(ids) + naive_cut(graph, ids)
+
+
+GAIN_KINDS = ("cut", "revenue", "image_summ", "modular", "sum")
+
+
+def _check_gains(objective, naive, base, cands):
+    """``gains`` against naive differences: within 1e-9 outside the base,
+    exactly 0.0 inside it."""
+    gains = objective.gains(np.asarray(base, dtype=np.intp), np.asarray(cands, dtype=np.intp))
+    assert gains.dtype == np.float64 and gains.shape == (len(cands),)
+    before = naive(base)
+    for u, gain in zip(cands, gains.tolist()):
+        if u in base:
+            assert gain == 0.0
+        else:
+            assert gain == pytest.approx(naive([*base, u]) - before, rel=0.0, abs=1e-9)
+
+
+class TestGains:
+    """Vectorized marginal gains against the naive references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(GAIN_KINDS),
+        n=st.integers(2, 10),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_match_naive_differences(self, kind, n, seed, data):
+        objective, naive = _objective_and_naive(kind, n, seed)
+        base = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        # candidates may repeat and may lie inside the base
+        cands = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        _check_gains(objective, naive, base, cands)
+
+    @pytest.mark.parametrize("kind", GAIN_KINDS)
+    def test_empty_base_gives_singleton_values(self, kind):
+        objective, naive = _objective_and_naive(kind, 9, seed=21)
+        _check_gains(objective, naive, [], list(range(9)))
+
+    @pytest.mark.parametrize("kind", GAIN_KINDS)
+    def test_candidates_inside_base_gain_exactly_zero(self, kind):
+        objective, naive = _objective_and_naive(kind, 9, seed=22)
+        base = [4, 0, 7]
+        _check_gains(objective, naive, base, [7, 1, 0, 4, 2])
+        assert objective.gains(np.array(base), np.array(base)).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", GAIN_KINDS)
+    def test_repeated_candidates_gain_alike(self, kind):
+        objective, naive = _objective_and_naive(kind, 9, seed=23)
+        gains = objective.gains(np.array([2, 5]), np.array([3, 3, 8, 3, 8]))
+        assert gains[0] == gains[1] == gains[3] and gains[2] == gains[4]
+        _check_gains(objective, naive, [2, 5], [3, 3, 8, 3, 8])
+
+    def test_cut_completing_the_ground_set(self):
+        # base + {u} is the whole ground set, whose cut is 0: the gain is -deg(u)
+        objective, naive = _objective_and_naive("cut", 8, seed=24)
+        for u in range(8):
+            _check_gains(objective, naive, [e for e in range(8) if e != u], [u])
+
+    def test_no_candidates(self):
+        for kind in GAIN_KINDS:
+            objective, _ = _objective_and_naive(kind, 5, seed=25)
+            gains = objective.gains(np.array([1]), np.empty(0, dtype=np.intp))
+            assert gains.shape == (0,) and gains.dtype == np.float64
