@@ -59,6 +59,10 @@ class AstResult:
     the cheap-ground condition held) to ``(ids, value)`` pairs.  Round and
     query counters split the estimator phase from the algorithm proper;
     ``ast_rounds`` = main loop + unconstrained boost + prefix augmentation.
+    ``main_loop_rounds`` counts the threshold loop's rounds, and
+    ``skipped_steps`` its grid steps that the gain bounds answered without a
+    query: the pool was not empty, but no element's bound cleared the step's
+    threshold within the budget left, so the step charged no round.
     """
 
     solution: tuple
@@ -77,6 +81,7 @@ class AstResult:
     ast_queries: int = 0
     ast_rounds: int = 0
     main_loop_rounds: int = 0
+    skipped_steps: int = 0
     unsubmax_rounds: int = 0
     boost_rounds: int = 0
 
@@ -90,25 +95,37 @@ def split_ground(instance, epsilon):
     return tiny, rest
 
 
-def threshold_loop(oracle, instance, pool, grid, config, rng):
+def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     """Grow the two disjoint candidates over the falling threshold grid.
 
     Odd steps extend the first candidate, even steps the second; after each
-    step the freshly taken elements leave the shared pool.  Returns both
-    selection orders plus snapshots of the first candidate after step one and
-    the second after step two.
+    step the freshly taken elements leave the shared pool.  Each candidate
+    keeps its own array of upper bounds on every element's gain past it,
+    starting from ``singleton_gains`` (``f({u})``, or ``None`` for +inf) and
+    tightened by ``rand_batch``; a step with no element whose bound clears
+    its threshold makes no query.  Returns both selection orders, snapshots
+    of the first candidate after step one and the second after step two,
+    and the number of such skipped steps with a non-empty pool.
     """
     xs, ys = [], []
+    start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
+    sides = ((xs, start.copy()), (ys, start.copy()))
     pool = [int(e) for e in pool]
     x_after_first = ()
     y_after_second = ()
+    skipped = 0
+    ledger = oracle.ledger
     for i in range(1, grid.num_thresholds + 1):
         theta = grid.gamma * (1.0 - config.epsilon) ** i
         params = RandBatchParams(
             threshold=theta, accept_cap=grid.accept_cap, epsilon=config.epsilon
         )
-        order = xs if i % 2 == 1 else ys
-        out = rand_batch(oracle, pool, params, instance, rng, base=tuple(order))
+        order, bound = sides[1 - i % 2]
+        rounds = ledger.adaptive_rounds
+        out = rand_batch(
+            oracle, pool, params, instance, rng, base=tuple(order), bound=bound
+        )
+        skipped += bool(pool) and ledger.adaptive_rounds == rounds
         order.extend(out.accepted)
         taken = set(out.accepted)
         pool = [e for e in pool if e not in taken]
@@ -116,7 +133,7 @@ def threshold_loop(oracle, instance, pool, grid, config, rng):
             x_after_first = tuple(xs)
         elif i == 2:
             y_after_second = tuple(ys)
-    return tuple(xs), tuple(ys), x_after_first, y_after_second
+    return tuple(xs), tuple(ys), x_after_first, y_after_second, skipped
 
 
 def augment_prefixes(oracle, instance, order):
@@ -202,8 +219,8 @@ def ast(oracle, instance, config=None):
         delta=config.delta,
     )
 
-    x_order, y_order, x_after_first, y_after_second = threshold_loop(
-        oracle, instance, rest, grid, config, rng
+    x_order, y_order, x_after_first, y_after_second, skipped = threshold_loop(
+        oracle, instance, rest, grid, config, rng, estimate.singleton_gains
     )
     loop_queries, loop_rounds = ledger.snapshot()
 
@@ -250,6 +267,7 @@ def ast(oracle, instance, config=None):
         ast_queries=end_queries - est_queries,
         ast_rounds=end_rounds - est_rounds,
         main_loop_rounds=loop_rounds - est_rounds,
+        skipped_steps=skipped,
         unsubmax_rounds=unsub_rounds - loop_rounds,
         boost_rounds=end_rounds - unsub_rounds,
     )

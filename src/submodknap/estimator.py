@@ -8,18 +8,26 @@ The default is density greedy combined with a best-singleton fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .baselines import density_greedy_trace
 
 
 @dataclass(frozen=True)
 class OptEstimate:
-    """A feasible starting solution with its exact value."""
+    """A feasible starting solution with its exact value.
+
+    ``singleton_gains`` holds ``f({u})`` for every element the estimator
+    queried alone and +inf for the rest (``None``: none queried).  The
+    solver starts its gain bounds from it.
+    """
 
     solution: tuple
     value: float
+    singleton_gains: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.value < 0.0:
@@ -47,6 +55,13 @@ def best_singleton(values):
     return best, best_value
 
 
+def _singleton_gains(values, n):
+    """A ``{id: value}`` map as an array over the ground set, +inf elsewhere."""
+    gains = np.full(n, np.inf)
+    gains[list(values)] = list(values.values())
+    return gains
+
+
 def estimate_greedy(oracle, instance):
     """Density greedy plus a best-feasible-singleton fallback.
 
@@ -56,11 +71,12 @@ def estimate_greedy(oracle, instance):
     """
     trace = density_greedy_trace(oracle, instance)
     single, single_value = best_singleton(trace.singleton_values)
+    gains = _singleton_gains(trace.singleton_values, instance.n)
     chosen = trace.order if trace.order and trace.value >= single_value else single
     if not chosen:
-        return OptEstimate((), 0.0)
+        return OptEstimate((), 0.0, gains)
     value = oracle.evaluate(chosen)
-    return OptEstimate(tuple(chosen), value)
+    return OptEstimate(tuple(chosen), value, gains)
 
 
 def estimate_best_singleton(oracle, instance):
@@ -71,13 +87,17 @@ def estimate_best_singleton(oracle, instance):
     fits = [e for e in range(instance.n) if instance.costs[e] <= instance.budget]
     values = dict(zip(fits, oracle.marginal_batch((), fits))) if fits else {}
     solution, _ = best_singleton(values)
-    return OptEstimate(solution, oracle.exact_value(solution))
+    return OptEstimate(
+        solution, oracle.exact_value(solution), _singleton_gains(values, instance.n)
+    )
 
 
 # Every estimator takes ``(oracle, instance)`` and returns an OptEstimate
 # whose value is 0 only when no feasible singleton has positive value.  By
 # submodularity f(S) <= sum of f({e}) <= 0 for every feasible S then, so
-# ``ast`` returns the empty set without further queries.
+# ``ast`` returns the empty set without further queries.  Its
+# ``singleton_gains`` covers at least every element that fits the budget
+# alone, which the shipped estimators query anyway.
 ESTIMATORS = {
     "greedy": estimate_greedy,
     "singleton": estimate_best_singleton,

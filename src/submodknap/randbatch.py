@@ -84,7 +84,12 @@ def _clears(gains, elem_costs, spent, threshold, residual):
     return (gains / elem_costs >= threshold) & (spent + elem_costs <= residual)
 
 
-def rand_batch(oracle, pool, params, instance, rng, base=()):
+# relative slack on a gain bound: a gain past a larger base may exceed the
+# gain past a smaller one by rounding, never by more than this
+BOUND_SLACK = 1e-9
+
+
+def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     """Select a batch of elements whose conditional density clears a floor.
 
     Works against the conditioned function ``g(.) = f(. | base)``: marginals
@@ -92,29 +97,48 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
     left after paying for ``base``.  With an empty ``base`` this is plain
     threshold sampling on ``f``.
 
-    Adaptive cost: one round for the initial density filter, then one round
-    per prefix-drawing iteration (survivor refilters reuse marginals already
-    queried in the sweep).  An empty ``pool`` returns immediately without
-    touching the oracle.
+    ``bound`` is an array over the ground set whose entry ``u`` bounds
+    ``f(u | base)`` from above; ``None`` stands for +inf everywhere.  By
+    submodularity any gain seen past a subset of ``base`` is such a bound.
+    The initial filter queries only the pool elements that fit and whose
+    bound clears the threshold within a relative slack of ``BOUND_SLACK``;
+    the others cannot survive it, so the output is the same as with no
+    bound.  The call tightens ``bound`` in place (never loosens it) with the
+    filter's gains and with each sweep's row ``t*``, whose base is ``base``
+    plus the accepted prefix, so it still holds for any later base that
+    extends ``base`` plus the accepted elements.
+
+    Adaptive cost: one round for the initial density filter, or none when
+    no pool element can clear it (an empty pool included), in which case the
+    call returns without touching the oracle; then one round per
+    prefix-drawing iteration (survivor refilters reuse marginals already
+    queried in the sweep).
     """
     base = tuple(base)
-    pool = [int(e) for e in as_id_array(pool).tolist()]
-    if not pool:
-        return RandBatchOutput((), (), 0)
-
+    if bound is None:
+        bound = np.full(instance.n, np.inf)
+    pool = as_id_array(pool)
+    if pool.size and (pool.min() < 0 or pool.max() >= instance.n):
+        raise ValueError("element id out of range for this ground set")
     costs = instance.costs
     epsilon = params.epsilon
     threshold = params.threshold
     residual = instance.budget - instance.cost_of(base)
 
+    pool_bound = bound[pool]
+    slack = BOUND_SLACK * np.maximum(1.0, np.abs(pool_bound))
+    live = pool[_clears(pool_bound + slack, costs[pool], 0.0, threshold, residual)]
+    if not live.size:
+        return RandBatchOutput((), (), 0)
+
     accepted = []
     accepted_cost = 0.0
     count = 0
 
-    # initial survivor filter: one marginal batch over the whole pool
-    gains = np.asarray(oracle.marginal_batch(base, pool))
-    clears = _clears(gains, costs[pool], 0.0, threshold, residual)
-    survivors = [e for e, ok in zip(pool, clears) if ok]
+    # initial survivor filter: one marginal batch over the live elements
+    gains = np.asarray(oracle.marginal_batch(base, live))
+    bound[live] = np.minimum(bound[live], gains)
+    survivors = live[_clears(gains, costs[live], 0.0, threshold, residual)].tolist()
 
     while survivors and count < params.accept_cap:
         seq = get_seq(accepted, survivors, instance, instance.budget - residual, rng)
@@ -166,6 +190,8 @@ def rand_batch(oracle, pool, params, instance, rng, base=()):
         t1 = int(np.argmax(mass_rule)) if mass_rule.any() else d
         t2 = int(np.argmax(damage_rule)) if damage_rule.any() else d
         t_star = min(t1, t2)
+        # rows past t_star extend the base with elements left unaccepted
+        bound[survivors] = np.minimum(bound[survivors], gain_rows[t_star])
 
         accepted.extend(seq[:t_star])
         accepted_cost += float(prefix_costs[t_star])

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from submodknap import (
+    ESTIMATORS,
     AstConfig,
     CountingOracle,
     CutObjective,
     KnapsackInstance,
     ModularObjective,
+    OptEstimate,
     ast,
     augment_prefixes,
     brute_force_opt,
@@ -214,6 +216,26 @@ class TestEndToEnd:
             result.estimator_queries + result.ast_queries
             == oracle.ledger.total_queries
         )
+
+    def test_estimate_without_singleton_gains(self, monkeypatch):
+        # an estimator that leaves singleton_gains unset starts the bounds at
+        # +inf: the first step of each side then queries its whole pool,
+        # and the outputs stay the same
+        def no_gains(oracle, instance):
+            estimate = ESTIMATORS["greedy"](oracle, instance)
+            return OptEstimate(estimate.solution, estimate.value)
+
+        monkeypatch.setitem(ESTIMATORS, "bare", no_gains)
+        graph = gen_erdos_renyi(20, 0.4, seed=11)
+        objective = CutObjective(graph)
+        instance = KnapsackInstance(graph.node_costs, 0.3 * float(graph.node_costs.sum()))
+        oracle, result = run_small(objective, instance, seed=12)
+        bare_oracle, bare = run_small(objective, instance, seed=12, estimator="bare")
+        assert (bare.solution, bare.x_order, bare.y_order, bare.value) == (
+            result.solution, result.x_order, result.y_order, result.value
+        )
+        assert bare_oracle.ledger.total_queries > oracle.ledger.total_queries
+        assert bare.skipped_steps <= result.skipped_steps
 
     def test_mismatched_oracle_rejected(self):
         oracle = CountingOracle(ModularObjective([1.0, 2.0]))

@@ -21,6 +21,7 @@ from submodknap import (
     revenue_costs,
     similarity_from_features,
 )
+from submodknap.randbatch import BOUND_SLACK
 from conftest import naive_cut, naive_image_summary, naive_revenue
 
 
@@ -408,6 +409,43 @@ class TestGains:
         # candidates may repeat and may lie inside the base
         cands = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
         _check_gains(objective, naive, base, cands)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(GAIN_KINDS),
+        n=st.integers(2, 10),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_gains_do_not_rise_as_the_base_grows(self, kind, n, seed, data):
+        # submodularity, which the solver's gain bounds rely on: appending
+        # ids to the base never raises the gain of an element outside it.
+        # image_summ is submodular only for non-negative similarities (see
+        # test_signed_image_summ_gain_can_rise), so its features are drawn
+        # non-negative here.
+        if kind == "image_summ":
+            features = np.random.default_rng(seed).random((n, 4))
+            objective = ImageSummaryObjective(similarity_from_features(features))
+        else:
+            objective, _ = _objective_and_naive(kind, n, seed)
+        ids = data.draw(st.permutations(range(n)))
+        grown_size = data.draw(st.integers(0, n - 1))
+        base_size = data.draw(st.integers(0, grown_size))
+        base = np.asarray(ids[:base_size], dtype=np.intp)
+        grown = np.asarray(ids[:grown_size], dtype=np.intp)
+        cands = np.asarray(ids[grown_size:], dtype=np.intp)
+        before = objective.gains(base, cands)
+        after = objective.gains(grown, cands)
+        assert np.all(after <= before + BOUND_SLACK * np.maximum(1.0, np.abs(before)))
+
+    def test_signed_image_summ_gain_can_rise(self):
+        # with a negative similarity, f(u | {}) = sum_i sim[i, u] - colsum[u] / n
+        # counts it, but past {v} the coverage term clips it at 0
+        matrix = SimilarityMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        objective = ImageSummaryObjective(matrix)
+        alone = objective.gains(np.array([], dtype=np.intp), np.array([1]))
+        past_0 = objective.gains(np.array([0]), np.array([1]))
+        assert alone.tolist() == [0.25] and past_0.tolist() == [1.25]
 
     @pytest.mark.parametrize("kind", GAIN_KINDS)
     def test_empty_base_gives_singleton_values(self, kind):

@@ -85,6 +85,54 @@ class TestRandBatch:
         assert out.accepted == out.surviving == ()
         assert oracle.ledger.snapshot() == (0, 0)
 
+    def test_bounds_below_the_threshold_skip_the_call(self):
+        oracle, instance = modular_setup([5.0, 4.0, 6.0], [1.0, 1.0, 1.0], 10.0)
+        bound = np.array([0.5, 0.9, 0.0])
+        out = rand_batch(
+            oracle,
+            (0, 1, 2),
+            RandBatchParams(threshold=1.0, accept_cap=50),
+            instance,
+            np.random.default_rng(0),
+            bound=bound,
+        )
+        assert out.accepted == out.surviving == ()
+        assert oracle.ledger.snapshot() == (0, 0)
+        assert bound.tolist() == [0.5, 0.9, 0.0]
+
+    def test_out_of_range_pool_ids_are_rejected(self):
+        # checked before the bounds are indexed, whether or not any is live
+        oracle, instance = modular_setup([5.0, 4.0], [1.0, 1.0], 10.0)
+        for pool in ((0, 2), (-1,)):
+            for bound in (None, np.zeros(2)):
+                with pytest.raises(ValueError, match="out of range"):
+                    rand_batch(
+                        oracle, pool, RandBatchParams(1.0, 5), instance,
+                        np.random.default_rng(0), bound=bound,
+                    )
+        assert oracle.ledger.snapshot() == (0, 0)
+
+    def test_infinite_bounds_change_nothing_and_get_tightened(self):
+        graph = gen_erdos_renyi(20, 0.4, seed=6)
+        objective = CutObjective(graph)
+        instance = KnapsackInstance(graph.node_costs, 0.5 * float(graph.node_costs.sum()))
+        params = RandBatchParams(threshold=1.0, accept_cap=50)
+        pool = tuple(range(2, 20))
+        runs = []
+        for bound in (None, np.full(20, np.inf)):
+            oracle = CountingOracle(objective)
+            out = rand_batch(
+                oracle, pool, params, instance, np.random.default_rng(3), base=(0, 1),
+                bound=bound,
+            )
+            runs.append((out, oracle.ledger.snapshot()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].accepted
+        # the filter saw every pool element's gain past the base
+        gains = CountingOracle(objective).marginal_batch((0, 1), pool)
+        assert np.all(bound[list(pool)] <= gains)
+        assert np.isinf(bound[:2]).all()
+
     def test_modular_all_dense_all_accepted(self):
         # every density clears the floor and everything fits: the whole pool
         # must be accepted and nothing survives
