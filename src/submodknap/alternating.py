@@ -126,9 +126,10 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
             oracle, pool, params, instance, rng, base=tuple(order), bound=bound
         )
         skipped += bool(pool) and ledger.adaptive_rounds == rounds
-        order.extend(out.accepted)
-        taken = set(out.accepted)
-        pool = [e for e in pool if e not in taken]
+        if out.accepted:
+            order.extend(out.accepted)
+            taken = set(out.accepted)
+            pool = [e for e in pool if e not in taken]
         if i == 1:
             x_after_first = tuple(xs)
         elif i == 2:

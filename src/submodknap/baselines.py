@@ -80,28 +80,27 @@ def density_greedy_trace(oracle, instance):
     used = 0.0
     value = 0.0
     singles = {}
-    remaining = [e for e in range(instance.n) if costs[e] <= budget]
+    # ``used`` only grows, so an element that stops fitting never fits again
+    fits = np.nonzero(costs <= budget)[0]
     while True:
-        fits = [e for e in remaining if used + costs[e] <= budget]
-        if not fits:
+        fits = fits[used + costs[fits] <= budget]
+        if not fits.size:
             break
         gains = oracle.marginal_batch(selected, fits)
         if not selected:
-            singles = dict(zip(fits, gains))
-        best = None
-        best_density = 0.0
-        for e, gain in zip(fits, gains):
-            if gain <= 0.0:
-                continue
-            density = gain / costs[e]
-            if best is None or density > best_density:
-                best, best_density = e, density
-        if best is None:
+            singles = dict(zip(fits.tolist(), gains))
+        # argmax keeps the first of equal densities: fits ascend, so ties go
+        # to the lowest id; a non-positive gain ranks below every density
+        gain_arr = np.asarray(gains)
+        density = np.where(gain_arr > 0.0, gain_arr / costs[fits], -np.inf)
+        j = int(np.argmax(density))
+        if density[j] == -np.inf:
             break
+        best = int(fits[j])
         selected.append(best)
-        remaining.remove(best)
+        fits = np.delete(fits, j)
         used += costs[best]
-        value += gains[fits.index(best)]
+        value += gains[j]
     return GreedyTrace(tuple(selected), float(value), singles)
 
 

@@ -110,10 +110,26 @@ class CountingOracle:
     The wrapped objective must be a pure function of the queried set: the same
     set always yields the same value regardless of query history, and
     ``f(empty) = 0``.  It offers ``n`` (the ground-set size), ``__call__(ids)``
-    (``f(ids)`` from scratch, whatever the order of ``ids``) and
-    ``gains(base, candidates)`` (every ``f(u | base)`` at once, exactly
-    ``0.0`` for a candidate inside ``base``); the objectives in
-    :mod:`submodknap.objectives` all do.
+    (``f(ids)`` from scratch, whatever the order of ``ids``) and a gain state
+    per base: ``state(base)`` builds it from scratch, ``extend(state, e)``
+    returns the state of ``base + (e,)`` and leaves ``state`` as it was, and
+    ``gains(state, candidates)`` returns every ``f(u | base)`` at once,
+    exactly ``0.0`` for a candidate inside ``base``.  A state extended id by
+    id gives the same gains, bit for bit, as ``state`` of the same sequence.
+    The objectives in :mod:`submodknap.objectives` all do this.
+
+    Cache.  Each oracle keeps the from-scratch values of the
+    ``CACHE_SIZE`` = 256 sets it used most recently as bases, keyed by the
+    sorted ids (a value does not depend on their order), and the gain
+    states of the 256 bases it used most recently with candidates, keyed by
+    the exact id sequence (a state's last bits may); using the 257th evicts
+    the least recently used.  The bound is fixed; nothing sets it.  A base
+    whose state is cached is not checked again.  A new base whose parent
+    (the base minus its last id) has a cached state, or was checked earlier
+    in the same call, checks only its last id and extends the parent's state
+    by that id.  Since the objective is pure, the cache changes no value and
+    no charge: every base and every extension is charged as if evaluated
+    afresh.
 
     Float and tie policy.  A base is evaluated with ``__call__`` and its
     one-element extensions as ``f(base) + gains``, which can differ from a
@@ -129,15 +145,60 @@ class CountingOracle:
         The set function; see above for what it must offer.
     """
 
+    CACHE_SIZE = 256
+
     def __init__(self, objective):
         self.objective = objective
         self.n = int(objective.n)
         self.ledger = QueryLedger()
+        # least recently used first: sorted base ids -> f(base), and base id
+        # tuple -> gain state
+        self._values = {}
+        self._states = {}
 
     def _check_ids(self, arr):
         if arr.size:
             if arr.min() < 0 or arr.max() >= self.n:
                 raise ValueError("element id out of range for this ground set")
+
+    def _check_base(self, key, arr, checked):
+        """Raise ``ValueError`` unless the base ``key`` is a set of ids of
+        this ground set.  Only the last id of a key whose parent is known
+        (its state cached, or in ``checked``) is checked."""
+        parent = key[:-1]
+        if key and (parent in self._states or parent in checked):
+            if not 0 <= key[-1] < self.n:
+                raise ValueError("element id out of range for this ground set")
+            if key[-1] in parent:
+                raise ValueError("a queried set repeats an element id")
+        else:
+            self._check_ids(arr)
+            if len(set(key)) != len(key):
+                raise ValueError("a queried set repeats an element id")
+
+    def _recent(self, cache, key, make):
+        """``cache[key]``, from ``make()`` on a miss, as the most recently
+        used entry; past ``CACHE_SIZE`` entries the least recently used
+        goes."""
+        entry = cache.pop(key, None)
+        if entry is None:
+            entry = make()
+            if len(cache) >= self.CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = entry
+        return entry
+
+    def _state(self, key, arr):
+        """The gain state of a checked base, extended from its parent's
+        when that is cached."""
+
+        def make():
+            parent = self._states.get(key[:-1]) if key else None
+            if parent is None:
+                return self.objective.state(arr)
+            return self.objective.extend(parent, key[-1])
+
+        return self._recent(self._states, key, make)
 
     def evaluate(self, ids):
         """Value of one set: one query, one adaptive round."""
@@ -155,11 +216,12 @@ class CountingOracle:
         """Evaluate base sets and their one-element extensions in one round.
 
         ``groups`` is a sequence of ``(base, candidates)`` pairs.  For each
-        pair the oracle evaluates ``f(base)`` from scratch and
-        ``f(base + {u}) = f(base) + f(u | base)`` for every candidate ``u``
-        with one ``gains`` call; a candidate already inside its base gains
-        exactly 0, so its value is the base value.  The round is charged
-        ``sum(len(candidates) + 1)`` queries: one per base, one per extension.
+        pair the oracle takes ``f(base)`` (from scratch, or from the cache)
+        and ``f(base + {u}) = f(base) + f(u | base)`` for every candidate
+        ``u`` with one ``gains`` call; a candidate already inside its base
+        gains exactly 0, so its value is the base value.  The round is
+        charged ``sum(len(candidates) + 1)`` queries: one per base, one per
+        extension.
 
         Returns a list of ``(base_value, extension_values)`` pairs with
         ``extension_values`` aligned to the candidate order.  Every id is
@@ -169,21 +231,32 @@ class CountingOracle:
         """
         prepared = []
         queries = 0
+        checked = set()
+        last = object()  # the candidates of the previous group
         for base, candidates in groups:
             base_arr = as_id_array(base)
-            cand_arr = as_id_array(candidates)
-            self._check_ids(base_arr)
-            self._check_ids(cand_arr)
-            if len(set(base_arr.tolist())) != base_arr.size:
-                raise ValueError("a queried set repeats an element id")
-            prepared.append((base_arr, cand_arr))
+            key = tuple(base_arr.tolist())
+            if key not in self._states and key not in checked:
+                self._check_base(key, base_arr, checked)
+                checked.add(key)
+            if candidates is not last:  # a sweep passes one list to every group
+                cand_arr = as_id_array(candidates)
+                self._check_ids(cand_arr)
+                last = candidates
+            prepared.append((key, base_arr, cand_arr))
             queries += cand_arr.size + 1
 
         out = []
         objective = self.objective
-        for base_arr, cand_arr in prepared:
-            base_value = float(objective(base_arr))
-            out.append((base_value, base_value + objective.gains(base_arr, cand_arr)))
+        for key, base_arr, cand_arr in prepared:
+            value = self._recent(
+                self._values, tuple(sorted(key)), lambda: float(objective(base_arr))
+            )
+            if cand_arr.size:
+                ext = value + objective.gains(self._state(key, base_arr), cand_arr)
+            else:
+                ext = np.empty(0)
+            out.append((value, ext))
         self.ledger.charge(queries)
         return out
 
@@ -193,9 +266,11 @@ class CountingOracle:
 
         An extension value is a base value plus a gain.  A caller that
         reports an extension's value takes it from here instead, so the
-        reported number is exact.
+        reported number is exact.  The value of a set cached as a base is
+        read, not evaluated again.
         """
-        return float(self.objective(ids))
+        value = self._values.get(tuple(sorted(as_id_array(ids).tolist())))
+        return float(self.objective(ids)) if value is None else value
 
     def marginal_batch(self, base, candidates):
         """Marginal gains ``f(u | base)`` for each candidate, in one round.

@@ -1,9 +1,15 @@
 """Benchmark objectives: network revenue, weighted graph cut, image summary.
 
-All three are normalized (``f(empty) = 0``) non-negative submodular set
-functions; the cut and image-summary objectives are non-monotone.  Objective
-classes precompute adjacency structure once and are immutable afterwards, so
-concurrent read-only evaluation is safe.
+All three are normalized (``f(empty) = 0``) and non-negative; the cut and
+image-summary objectives are non-monotone.  Cut and revenue are submodular.
+Image summary is submodular only when every similarity is non-negative:
+with a negative ``sim[i, u]``, ``f(u | empty)`` counts it while the coverage
+term clips it at 0 past any ``v`` with ``sim[i, v] >= 0``, so a gain can
+rise as the base grows.  Generated features are non-negative; a feature
+file with negative entries gives signed similarities.  The solver's gain
+bounds rely on submodularity.  Objective classes precompute adjacency
+structure once and are immutable afterwards, so concurrent read-only
+evaluation is safe.
 
 Every objective offers the interface :class:`~submodknap.core.CountingOracle`
 relies on:
@@ -11,9 +17,15 @@ relies on:
 - ``n``: the ground-set size;
 - ``__call__(ids)``: ``f(ids)`` from scratch; ids are sorted internally, so
   the value does not depend on insertion order;
-- ``gains(base, candidates)``: the marginal gains ``f(u | base)`` of every
+- ``state(base)``: the gain state of a base (``base`` repeats no id), built
+  from scratch;
+- ``extend(state, e)``: the state of ``base + (e,)`` for an id ``e`` outside
+  ``base``; ``state`` itself is left unchanged.  States extended id by id
+  give gains bit-identical to ``state`` of the same sequence: cut and
+  revenue add edge weight in base order, image summary keeps a running max;
+- ``gains(state, candidates)``: the marginal gains ``f(u | base)`` of every
   candidate in one vectorized pass, exactly ``0.0`` for a candidate already
-  in ``base`` (``base`` repeats no id; candidates may repeat).
+  in ``base`` (candidates may repeat).
 
 Float and tie policy.  A gain and the difference of two from-scratch values
 are the same number up to rounding, not always bit for bit.  Gains steer
@@ -185,17 +197,42 @@ def _members(n, ids):
     return inside
 
 
+def _with_member(inside, e):
+    """A copy of the membership mask ``inside`` with ``e`` added."""
+    inside = inside.copy()
+    inside[e] = True
+    return inside
+
+
 class _GraphObjective:
-    """CSR adjacency shared by the graph objectives."""
+    """CSR adjacency shared by the graph objectives.
+
+    The gain state of a base is ``(weight_to, inside)``: the edge weight
+    from the base to every node, summed in base order, and the base's
+    membership mask.
+    """
 
     def __init__(self, graph):
         self.n = graph.n
         self._indptr, self._indices, self._data = graph.adjacency()
 
     def _weight_to(self, ids):
-        """Total edge weight from ``ids`` to every node."""
+        """Total edge weight from ``ids`` to every node, summed in the order
+        of ``ids`` (float zeros for no ids)."""
         pos = _row_block_positions(self._indptr, ids)
-        return np.bincount(self._indices[pos], weights=self._data[pos], minlength=self.n)
+        weights = np.bincount(self._indices[pos], weights=self._data[pos], minlength=self.n)
+        return weights.astype(np.float64, copy=False)
+
+    def state(self, base):
+        base = as_id_array(base)
+        return self._weight_to(base), _members(self.n, base)
+
+    def extend(self, state, e):
+        weight_to, inside = state
+        lo, hi = self._indptr[e], self._indptr[e + 1]
+        weight_to = weight_to.copy()
+        weight_to[self._indices[lo:hi]] += self._data[lo:hi]  # one entry per neighbour
+        return weight_to, _with_member(inside, e)
 
 
 class CutObjective(_GraphObjective):
@@ -214,15 +251,12 @@ class CutObjective(_GraphObjective):
         crossing = ~inside[self._indices[pos]]
         return float(self._data[pos][crossing].sum())
 
-    def gains(self, base, candidates):
+    def gains(self, state, candidates):
         """``deg(u) - 2 w(u, base)``: u's edges into ``base`` stop crossing,
         its other edges start to."""
-        base = as_id_array(base)
+        weight_to, inside = state
         cands = as_id_array(candidates)
-        to_base = self._weight_to(base)[cands]
-        return np.where(
-            _members(self.n, base)[cands], 0.0, self._degrees[cands] - 2.0 * to_base
-        )
+        return np.where(inside[cands], 0.0, self._degrees[cands] - 2.0 * weight_to[cands])
 
 
 class RevenueObjective(_GraphObjective):
@@ -236,14 +270,12 @@ class RevenueObjective(_GraphObjective):
         inside = _members(self.n, ids)
         return float(np.sqrt(self._weight_to(ids)[~inside]).sum())
 
-    def gains(self, base, candidates):
+    def gains(self, state, candidates):
         """Each outside neighbour v of u gains ``sqrt(I(v) + w(u, v)) -
         sqrt(I(v))``, and u stops paying ``sqrt(I(u))``, where ``I`` is the
         edge weight from ``base``."""
-        base = as_id_array(base)
+        influence, inside = state
         cands = as_id_array(candidates)
-        inside = _members(self.n, base)
-        influence = self._weight_to(base)
         pos = _row_block_positions(self._indptr, cands)
         nbrs = self._indices[pos]
         before = influence[nbrs]
@@ -254,7 +286,12 @@ class RevenueObjective(_GraphObjective):
 
 
 class ImageSummaryObjective:
-    """Facility-location coverage score minus a mean-similarity penalty."""
+    """Facility-location coverage score minus a mean-similarity penalty.
+
+    The gain state of a base is ``(cur, inside)``: every row's best
+    similarity into the base (``None`` for the empty base, which covers
+    nothing) and the base's membership mask.
+    """
 
     def __init__(self, matrix):
         self.n = matrix.n
@@ -268,17 +305,29 @@ class ImageSummaryObjective:
         cols = self._sim[:, ids]
         return float(cols.max(axis=1).sum() - cols.sum() / self.n)
 
-    def gains(self, base, candidates):
-        """``sum_i max(sim[i, u] - cur_i, 0) - colsum[u] / n``, where
-        ``cur_i`` is row i's best similarity into ``base``."""
+    def state(self, base):
         base = as_id_array(base)
+        cur = self._sim[base].max(axis=0) if base.size else None
+        return cur, _members(self.n, base)
+
+    def extend(self, state, e):
+        cur, inside = state
+        row = self._sim[e]
+        cur = row.copy() if cur is None else np.maximum(cur, row)
+        return cur, _with_member(inside, e)
+
+    def gains(self, state, candidates):
+        """``sum_i max(sim[i, u] - cur_i, 0) - colsum[u] / n``, where
+        ``cur_i`` is row i's best similarity into ``base`` (for the empty
+        base, ``sum_i sim[i, u] - colsum[u] / n``)."""
+        cur, inside = state
         cands = as_id_array(candidates)
         rows = self._sim[cands]  # row u is column u: the matrix is symmetric
-        if base.size:
-            rows -= self._sim[base].max(axis=0)
+        if cur is not None:
+            rows -= cur
             np.maximum(rows, 0.0, out=rows)
         gains = rows.sum(axis=1) - self._colsum[cands] / self.n
-        return np.where(_members(self.n, base)[cands], 0.0, gains)
+        return np.where(inside[cands], 0.0, gains)
 
 
 class ModularObjective:
@@ -297,9 +346,16 @@ class ModularObjective:
             return 0.0
         return float(self.values[ids].sum())
 
-    def gains(self, base, candidates):
+    def state(self, base):
+        """The gain state of a base is its membership mask."""
+        return _members(self.n, as_id_array(base))
+
+    def extend(self, inside, e):
+        return _with_member(inside, e)
+
+    def gains(self, inside, candidates):
         cands = as_id_array(candidates)
-        return np.where(_members(self.n, as_id_array(base))[cands], 0.0, self.values[cands])
+        return np.where(inside[cands], 0.0, self.values[cands])
 
 
 class SumObjective:
@@ -317,10 +373,17 @@ class SumObjective:
         ids = as_id_array(ids)
         return float(sum(p(ids) for p in self.parts))
 
-    def gains(self, base, candidates):
+    def state(self, base):
+        """The gain state of a base is the tuple of the parts' states."""
         base = as_id_array(base)
+        return tuple(p.state(base) for p in self.parts)
+
+    def extend(self, state, e):
+        return tuple(p.extend(s, e) for p, s in zip(self.parts, state))
+
+    def gains(self, state, candidates):
         cands = as_id_array(candidates)
-        return sum(p.gains(base, cands) for p in self.parts)
+        return sum(p.gains(s, cands) for p, s in zip(self.parts, state))
 
 
 def revenue_costs(graph):

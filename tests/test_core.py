@@ -187,6 +187,28 @@ class TestRepeatedIds:
             assert oracle.ledger.snapshot() == (1, 1)  # nothing charged
         assert oracle.evaluate([3]) == single
 
+    def test_extending_a_cached_base_checks_the_new_id(self):
+        # the oracle checks only the last id of a base whose parent it has
+        # cached or checked in the same call; that id must still be new and
+        # in range, and a rejected call charges nothing
+        oracle = CountingOracle(CutObjective(gen_erdos_renyi(20, 0.3, seed=1)))
+        oracle.evaluate([3])
+        with pytest.raises(ValueError, match="repeats"):
+            oracle.evaluate([3, 3])
+        assert oracle.ledger.snapshot() == (1, 1)
+        oracle.marginal_batch([3], [1])  # caches the gain state of (3,)
+        with pytest.raises(ValueError, match="repeats"):
+            oracle.evaluate([3, 3])
+        with pytest.raises(ValueError, match="range"):
+            oracle.evaluate([3, 20])
+        with pytest.raises(ValueError, match="range"):
+            oracle.evaluate([3, -1])
+        with pytest.raises(ValueError, match="integers"):
+            oracle.evaluate([3.0])
+        with pytest.raises(ValueError, match="repeats"):
+            oracle.evaluate_extensions([((5,), (1,)), ((5, 5), (1,))])
+        assert oracle.ledger.snapshot() == (3, 2)
+
     def test_rejected_batch_evaluates_nothing(self):
         seen = []
 

@@ -25,8 +25,13 @@ class LookupObjective:
     def __call__(self, ids):
         return self.table[frozenset(int(e) for e in ids)]
 
+    def state(self, base):
+        return frozenset(int(e) for e in base)
+
+    def extend(self, base, e):
+        return base | {int(e)}
+
     def gains(self, base, candidates):
-        base = frozenset(int(e) for e in base)
         return np.array([self(base | {int(u)}) - self(base) for u in candidates])
 
 

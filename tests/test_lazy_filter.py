@@ -4,7 +4,9 @@
 threshold loop kept gain bounds: every grid step filtered its whole pool.
 The same seeded solves through both must return the same solution, orders,
 snapshots and candidates bit for bit, while the solver here charges no more
-queries and exactly one round fewer per skipped grid step.  The copy is
+queries and exactly one round fewer per skipped grid step.  The copy also
+predates the oracle's base cache, so the mid-size cases check the cache's
+answers bit for bit as well.  The copy is
 imported with bytecode writing off, so this test leaves ``perfbench/`` as
 it found it.
 """
@@ -42,9 +44,9 @@ ESTIMATORS = ("greedy", "singleton")
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
-def _build(package, kind, config):
-    """Objective and costs of one generated n = 30 instance, built by
-    ``package`` alone."""
+def _build(package, kind, config, n=30):
+    """Objective and costs of one generated instance of ``n`` elements,
+    built by ``package`` alone."""
     if kind == "modular+cut":
         graph = package.gen_erdos_renyi(30, 0.3, 11)
         values = np.random.default_rng(11).random(30)
@@ -53,14 +55,14 @@ def _build(package, kind, config):
         )
         return objective, graph.node_costs
     spec = package.harness.ExperimentSpec(
-        "ast", kind, package.harness.GenerateSource(30, 0.3, 11), config=config
+        "ast", kind, package.harness.GenerateSource(n, 0.3, 11), config=config
     )
     return package.harness.build_objective(spec)
 
 
-def _solve(package, kind, estimator, fraction, seed):
+def _solve(package, kind, estimator, fraction, seed, n=30):
     config = package.AstConfig(seed=seed, estimator=estimator)
-    objective, costs = _build(package, kind, config)
+    objective, costs = _build(package, kind, config, n)
     instance = package.KnapsackInstance(costs, fraction * float(np.sort(costs).sum()))
     oracle = package.CountingOracle(objective)
     return package.ast(oracle, instance, config), oracle.ledger.snapshot(), costs
@@ -91,6 +93,19 @@ def test_same_outputs_fewer_queries(kind, estimator, fraction):
     old, (old_queries, old_rounds), old_costs = _solve(baseline, kind, estimator, fraction, seed)
     assert np.array_equal(costs, old_costs)
     assert result.num_thresholds > 0  # a non-trivial solve
+    assert _outputs(result) == _outputs(old)
+    assert queries <= old_queries
+    assert old_rounds - rounds == result.skipped_steps
+
+
+@pytest.mark.parametrize("kind, n, fraction", [("cut", 200, 0.2), ("image_summ", 300, 0.3)])
+def test_mid_size_same_outputs_fewer_queries(kind, n, fraction):
+    # long sweeps; the cut solve uses 417 distinct bases, more than the
+    # oracle's cache holds, so it also runs past evictions
+    result, (queries, rounds), costs = _solve(submodknap, kind, "greedy", fraction, 0, n)
+    old, (old_queries, old_rounds), old_costs = _solve(baseline, kind, "greedy", fraction, 0, n)
+    assert np.array_equal(costs, old_costs)
+    assert result.num_thresholds > 0
     assert _outputs(result) == _outputs(old)
     assert queries <= old_queries
     assert old_rounds - rounds == result.skipped_steps
