@@ -140,12 +140,12 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
 def augment_prefixes(oracle, instance, order):
     """Try every prefix of ``order`` with its best feasible extra element.
 
-    All prefix extensions plus the full set itself are evaluated in one
+    All prefix extensions plus the full set itself are charged in one
     adaptive round.  For each prefix the winning element is the feasible one
     (anywhere in the ground set, including inside the prefix, where it adds
-    nothing) with the highest resulting value, ties to the lowest id.  The
-    winner's recorded value is its set's from-scratch value, which the round
-    has already paid for.
+    nothing) with the highest gain, ties to the lowest id.  The full set's
+    and each winner's recorded values are their sets' from-scratch values,
+    which the round has already paid for.
 
     Returns ``(value_of_full_set, [(augmented_ids, value), ...])``.
     """
@@ -161,16 +161,14 @@ def augment_prefixes(oracle, instance, order):
         fits = np.nonzero((costs + prefix_cost <= budget) | in_prefix)[0]
         groups.append((order[:i], fits))
     results = oracle.evaluate_extensions(groups)
-    full_value = results[0][0]
 
     # a prefix's own elements always fit, so every prefix has a candidate
     augmented = []
-    for (prefix, cands), (_, ext) in zip(groups[1:], results[1:]):
-        j = int(np.argmax(ext))
-        pick = int(cands[j])
+    for (prefix, cands), gains in zip(groups[1:], results[1:]):
+        pick = int(cands[int(np.argmax(gains))])
         aug = prefix if pick in prefix else prefix + (pick,)
         augmented.append((aug, oracle.exact_value(aug)))
-    return full_value, augmented
+    return oracle.exact_value(order), augmented
 
 
 def ast(oracle, instance, config=None):

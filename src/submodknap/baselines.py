@@ -58,12 +58,13 @@ def brute_force_opt(objective, instance, cap=BRUTE_FORCE_CAP):
 
 @dataclass
 class GreedyTrace:
-    """Selection order, final value, and first-round singleton values of a
-    density-greedy run."""
+    """Selection order, final value, and first-round gains of a density-greedy
+    run: ``singleton_gains`` holds ``f({u})`` for every element that round
+    queried and +inf for the rest."""
 
     order: tuple
     value: float
-    singleton_values: dict
+    singleton_gains: np.ndarray
 
 
 def density_greedy_trace(oracle, instance):
@@ -79,7 +80,7 @@ def density_greedy_trace(oracle, instance):
     selected = []
     used = 0.0
     value = 0.0
-    singles = {}
+    singles = np.full(instance.n, np.inf)
     # ``used`` only grows, so an element that stops fitting never fits again
     fits = np.nonzero(costs <= budget)[0]
     while True:
@@ -88,11 +89,10 @@ def density_greedy_trace(oracle, instance):
             break
         gains = oracle.marginal_batch(selected, fits)
         if not selected:
-            singles = dict(zip(fits.tolist(), gains))
+            singles[fits] = gains
         # argmax keeps the first of equal densities: fits ascend, so ties go
         # to the lowest id; a non-positive gain ranks below every density
-        gain_arr = np.asarray(gains)
-        density = np.where(gain_arr > 0.0, gain_arr / costs[fits], -np.inf)
+        density = np.where(gains > 0.0, gains / costs[fits], -np.inf)
         j = int(np.argmax(density))
         if density[j] == -np.inf:
             break

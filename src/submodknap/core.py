@@ -118,26 +118,23 @@ class CountingOracle:
     id gives the same gains, bit for bit, as ``state`` of the same sequence.
     The objectives in :mod:`submodknap.objectives` all do this.
 
-    Cache.  Each oracle keeps the from-scratch values of the
-    ``CACHE_SIZE`` = 256 sets it used most recently as bases, keyed by the
-    sorted ids (a value does not depend on their order), and the gain
-    states of the 256 bases it used most recently with candidates, keyed by
-    the exact id sequence (a state's last bits may); using the 257th evicts
-    the least recently used.  The bound is fixed; nothing sets it.  A base
-    whose state is cached is not checked again.  A new base whose parent
+    Cache.  Each oracle keeps the gain states of the ``CACHE_SIZE`` = 256
+    bases it used most recently with candidates, keyed by the exact id
+    sequence (a state's last bits may depend on the order); using the 257th
+    evicts the least recently used.  The bound is fixed; nothing sets it.  A
+    base whose state is cached is not checked again.  A new base whose parent
     (the base minus its last id) has a cached state, or was checked earlier
     in the same call, checks only its last id and extends the parent's state
-    by that id.  Since the objective is pure, the cache changes no value and
+    by that id.  Since the objective is pure, the cache changes no answer and
     no charge: every base and every extension is charged as if evaluated
     afresh.
 
-    Float and tie policy.  A base is evaluated with ``__call__`` and its
-    one-element extensions as ``f(base) + gains``, which can differ from a
-    from-scratch ``f(base + {u})`` in the last bits.  Gains steer every
-    threshold test, stopping rule and argmax.  Every value the solver
-    reports (``X``, ``Y``, ``S1``, the augmented winners, the estimator's
-    ``S0``) is ``__call__`` of the reported set: a base value, or
-    :meth:`exact_value` of a set already charged as an extension.
+    Float and tie policy.  Extension queries are answered with the gains
+    ``f(u | base)`` the objective returns; no base value is computed for
+    them.  Gains steer every threshold test, stopping rule and argmax.
+    Every value the solver reports (``X``, ``Y``, ``S1``, the augmented
+    winners, the estimator's ``S0``) is ``__call__`` of the reported set,
+    read with :meth:`exact_value` once the set has been charged.
 
     Parameters
     ----------
@@ -151,9 +148,7 @@ class CountingOracle:
         self.objective = objective
         self.n = int(objective.n)
         self.ledger = QueryLedger()
-        # least recently used first: sorted base ids -> f(base), and base id
-        # tuple -> gain state
-        self._values = {}
+        # base id tuple -> gain state, least recently used first
         self._states = {}
 
     def _check_ids(self, arr):
@@ -176,29 +171,22 @@ class CountingOracle:
             if len(set(key)) != len(key):
                 raise ValueError("a queried set repeats an element id")
 
-    def _recent(self, cache, key, make):
-        """``cache[key]``, from ``make()`` on a miss, as the most recently
-        used entry; past ``CACHE_SIZE`` entries the least recently used
-        goes."""
-        entry = cache.pop(key, None)
-        if entry is None:
-            entry = make()
-            if len(cache) >= self.CACHE_SIZE:
-                del cache[next(iter(cache))]
-        cache[key] = entry
-        return entry
-
     def _state(self, key, arr):
-        """The gain state of a checked base, extended from its parent's
-        when that is cached."""
-
-        def make():
-            parent = self._states.get(key[:-1]) if key else None
+        """The gain state of a checked base, extended from its parent's when
+        that is cached, as the most recently used entry; past
+        ``CACHE_SIZE`` entries the least recently used goes."""
+        states = self._states
+        state = states.pop(key, None)
+        if state is None:
+            parent = states.get(key[:-1]) if key else None
             if parent is None:
-                return self.objective.state(arr)
-            return self.objective.extend(parent, key[-1])
-
-        return self._recent(self._states, key, make)
+                state = self.objective.state(arr)
+            else:
+                state = self.objective.extend(parent, key[-1])
+            if len(states) >= self.CACHE_SIZE:
+                del states[next(iter(states))]
+        states[key] = state
+        return state
 
     def evaluate(self, ids):
         """Value of one set: one query, one adaptive round."""
@@ -210,24 +198,25 @@ class CountingOracle:
         Results are element-wise identical to sequential :meth:`evaluate`
         calls; only the accounting differs (one round for the whole batch).
         """
-        return [value for value, _ in self.evaluate_extensions([(s, ()) for s in sets])]
+        groups = [(s, ()) for s in sets]
+        self.evaluate_extensions(groups)
+        return [self.exact_value(s) for s, _ in groups]
 
     def evaluate_extensions(self, groups):
-        """Evaluate base sets and their one-element extensions in one round.
+        """Marginal gains past base sets, in one round.
 
         ``groups`` is a sequence of ``(base, candidates)`` pairs.  For each
-        pair the oracle takes ``f(base)`` (from scratch, or from the cache)
-        and ``f(base + {u}) = f(base) + f(u | base)`` for every candidate
-        ``u`` with one ``gains`` call; a candidate already inside its base
-        gains exactly 0, so its value is the base value.  The round is
-        charged ``sum(len(candidates) + 1)`` queries: one per base, one per
-        extension.
+        pair the oracle answers ``f(u | base)`` for every candidate ``u`` with
+        one ``gains`` call on the base's gain state; a candidate already
+        inside its base gains exactly 0.  The round is charged
+        ``sum(len(candidates) + 1)`` queries, as if ``f(base)`` and every
+        ``f(base + {u})`` were evaluated: one per base, one per extension.
 
-        Returns a list of ``(base_value, extension_values)`` pairs with
-        ``extension_values`` aligned to the candidate order.  Every id is
-        checked before anything is evaluated: an id outside the ground set or
-        a base that repeats an id raises ``ValueError`` and charges nothing.
-        Candidates may repeat; each is its own query.
+        Returns one gains array per group, aligned to the candidate order
+        (empty for a group with no candidates).  Every id is checked before
+        anything is evaluated: an id outside the ground set or a base that
+        repeats an id raises ``ValueError`` and charges nothing.  Candidates
+        may repeat; each is its own query.
         """
         prepared = []
         queries = 0
@@ -246,37 +235,22 @@ class CountingOracle:
             prepared.append((key, base_arr, cand_arr))
             queries += cand_arr.size + 1
 
-        out = []
-        objective = self.objective
-        for key, base_arr, cand_arr in prepared:
-            value = self._recent(
-                self._values, tuple(sorted(key)), lambda: float(objective(base_arr))
-            )
-            if cand_arr.size:
-                ext = value + objective.gains(self._state(key, base_arr), cand_arr)
-            else:
-                ext = np.empty(0)
-            out.append((value, ext))
+        out = [
+            self.objective.gains(self._state(key, base_arr), cand_arr)
+            if cand_arr.size
+            else np.empty(0)
+            for key, base_arr, cand_arr in prepared
+        ]
         self.ledger.charge(queries)
         return out
 
     def exact_value(self, ids):
         """From-scratch ``f(ids)`` of a set already charged as a base or an
         extension (or of the empty set, 0 by contract); charges nothing.
-
-        An extension value is a base value plus a gain.  A caller that
-        reports an extension's value takes it from here instead, so the
-        reported number is exact.  The value of a set cached as a base is
-        read, not evaluated again.
-        """
-        value = self._values.get(tuple(sorted(as_id_array(ids).tolist())))
-        return float(self.objective(ids)) if value is None else value
+        Every value a caller reports is read from here."""
+        return float(self.objective(ids))
 
     def marginal_batch(self, base, candidates):
-        """Marginal gains ``f(u | base)`` for each candidate, in one round.
-
-        Costs ``len(candidates) + 1`` queries: the base is evaluated once and
-        cached within the batch.
-        """
-        base_value, ext_values = self.evaluate_extensions([(base, candidates)])[0]
-        return [v - base_value for v in ext_values.tolist()]
+        """Marginal gains ``f(u | base)`` for each candidate as an array, in
+        one round.  Costs ``len(candidates) + 1`` queries."""
+        return self.evaluate_extensions([(base, candidates)])[0]

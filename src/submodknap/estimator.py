@@ -42,24 +42,18 @@ class GuessGrid(NamedTuple):
     accept_cap: int       # per-call acceptance cap for the sampler
 
 
-def best_singleton(values):
-    """The best single element of a ``{id: value}`` map as ``(ids, value)``.
+def best_singleton(gains):
+    """The best single element as ``(ids, gain)``, from an array of ``f({u})``
+    over the ground set with +inf where an element was not queried.
 
-    Ties go to the lowest id; when no value is positive the result is the
-    empty set with value zero.
+    The gain must be strictly positive; ties go to the lowest id; when no
+    queried element qualifies the result is the empty set with value zero.
     """
-    best, best_value = (), 0.0
-    for e in sorted(values):
-        if values[e] > best_value:
-            best, best_value = (e,), values[e]
-    return best, best_value
-
-
-def _singleton_gains(values, n):
-    """A ``{id: value}`` map as an array over the ground set, +inf elsewhere."""
-    gains = np.full(n, np.inf)
-    gains[list(values)] = list(values.values())
-    return gains
+    scores = np.where(np.isfinite(gains) & (gains > 0.0), gains, -np.inf)
+    e = int(np.argmax(scores))
+    if scores[e] == -np.inf:
+        return (), 0.0
+    return (e,), float(gains[e])
 
 
 def estimate_greedy(oracle, instance):
@@ -70,8 +64,8 @@ def estimate_greedy(oracle, instance):
     value the estimate is the empty set with value zero.
     """
     trace = density_greedy_trace(oracle, instance)
-    single, single_value = best_singleton(trace.singleton_values)
-    gains = _singleton_gains(trace.singleton_values, instance.n)
+    gains = trace.singleton_gains
+    single, single_value = best_singleton(gains)
     chosen = trace.order if trace.order and trace.value >= single_value else single
     if not chosen:
         return OptEstimate((), 0.0, gains)
@@ -84,12 +78,12 @@ def estimate_best_singleton(oracle, instance):
     with one marginal batch over the feasible singletons (none if nothing
     fits).  The recorded value is the winner's from-scratch value, which
     that batch has already paid for."""
-    fits = [e for e in range(instance.n) if instance.costs[e] <= instance.budget]
-    values = dict(zip(fits, oracle.marginal_batch((), fits))) if fits else {}
-    solution, _ = best_singleton(values)
-    return OptEstimate(
-        solution, oracle.exact_value(solution), _singleton_gains(values, instance.n)
-    )
+    gains = np.full(instance.n, np.inf)
+    fits = np.nonzero(instance.costs <= instance.budget)[0]
+    if fits.size:
+        gains[fits] = oracle.marginal_batch((), fits)
+    solution, _ = best_singleton(gains)
+    return OptEstimate(solution, oracle.exact_value(solution), gains)
 
 
 # Every estimator takes ``(oracle, instance)`` and returns an OptEstimate

@@ -627,15 +627,14 @@ def main(argv=None):
         tokens = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]
         args = parser.parse_args(argv[:1] + tokens + argv[1:])
 
-    if args.command == "run":
-        _emit(run_experiment(_spec_from_args(args, args.algorithm)), args)
-        return 0
-
-    if args.command == "sweep":
-        records = []
-        for algorithm in args.algorithms.split(","):
-            records.extend(run_experiment(_spec_from_args(args, algorithm.strip())))
-        _emit(records, args)
+    if args.command in ("run", "sweep"):
+        # every spec is built, and so checked, before anything is solved
+        names = args.algorithm if args.command == "run" else args.algorithms
+        try:
+            specs = [_spec_from_args(args, name.strip()) for name in names.split(",")]
+        except ValueError as exc:
+            subs.choices[args.command].error(str(exc))
+        _emit([rec for spec in specs for rec in run_experiment(spec)], args)
         return 0
 
     if args.command == "verify":

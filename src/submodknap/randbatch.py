@@ -136,7 +136,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     count = 0
 
     # initial survivor filter: one marginal batch over the live elements
-    gains = np.asarray(oracle.marginal_batch(base, live))
+    gains = oracle.marginal_batch(base, live)
     bound[live] = np.minimum(bound[live], gains)
     survivors = live[_clears(gains, costs[live], 0.0, threshold, residual)].tolist()
 
@@ -157,10 +157,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
             (base + tuple(accepted) + tuple(seq[:i]), survivors)
             for i in range(d + 1)
         ]
-        sweep = oracle.evaluate_extensions(groups)
-        gain_rows = np.vstack(
-            [ext - base_value for base_value, ext in sweep]
-        )  # shape (d+1, len(survivors))
+        gain_rows = np.vstack(oracle.evaluate_extensions(groups))  # (d+1, len(survivors))
 
         surv_costs = costs[np.asarray(survivors, dtype=np.intp)]
         surv_index = {e: j for j, e in enumerate(survivors)}

@@ -13,6 +13,7 @@ from submodknap import (
     gamma_and_guesses,
     gen_erdos_renyi,
 )
+from submodknap.estimator import best_singleton
 
 
 class LookupObjective:
@@ -63,6 +64,12 @@ class TestEstimateGreedy:
         assert est.value >= 10.0
         assert est.solution == (1,)
 
+    def test_singleton_gains_cover_the_first_round(self):
+        oracle = CountingOracle(ModularObjective([3.0, 9.0, 5.0]))
+        instance = KnapsackInstance(np.array([1.0, 5.0, 1.0]), 2.0)
+        est = estimate_greedy(oracle, instance)
+        assert est.singleton_gains.tolist() == [3.0, np.inf, 5.0]
+
     def test_value_is_oracle_exact(self):
         graph = gen_erdos_renyi(12, 0.5, seed=1)
         objective = CutObjective(graph)
@@ -84,6 +91,22 @@ class TestEstimateBestSingleton:
         instance = KnapsackInstance(np.ones(3), 2.0)
         estimate_best_singleton(oracle, instance)
         assert oracle.ledger.adaptive_rounds == 1
+
+
+    def test_nothing_fits_makes_no_query(self):
+        oracle = CountingOracle(ModularObjective([3.0, 9.0]))
+        est = estimate_best_singleton(oracle, KnapsackInstance(np.array([2.0, 3.0]), 1.0))
+        assert est.solution == () and est.value == 0.0
+        assert est.singleton_gains.tolist() == [np.inf, np.inf]
+        assert oracle.ledger.snapshot() == (0, 0)
+
+
+class TestBestSingleton:
+    def test_positive_gain_lowest_id_unqueried_skipped(self):
+        inf = np.inf
+        assert best_singleton(np.array([inf, 2.0, 3.0, 3.0, -1.0])) == ((2,), 3.0)
+        assert best_singleton(np.array([inf, 0.0, -1.0])) == ((), 0.0)
+        assert best_singleton(np.full(3, inf)) == ((), 0.0)
 
 
 class TestOptEstimateValidation:

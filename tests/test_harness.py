@@ -281,14 +281,37 @@ class TestCli:
             ("image_summ", ["--graph", "--features"], "--graph"),
         ],
     )
-    def test_data_file_must_suit_objective(self, tmp_path, objective, flags, rejected):
+    def test_data_file_must_suit_objective(self, tmp_path, capsys, objective, flags, rejected):
         path = tmp_path / "data.txt"
         path.write_text("0 1 0.5\n")
         argv = ["run", "--objective", objective]
         for flag in flags:
             argv += [flag, str(path)]
-        with pytest.raises(ValueError, match=rejected):
+        with pytest.raises(SystemExit) as exit_info:
             main(argv)
+        assert exit_info.value.code == 2
+        assert rejected in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--trials", "0"], "trials must be at least 1"),
+            (["run", "--epsilon", "0.5"], "epsilon must lie in"),
+            (["run", "--budget-fracs", "1.5"], "budget fractions must lie in"),
+            (["sweep", "--trials", "0"], "trials must be at least 1"),
+            (["sweep", "--algorithms", "nope"], "unknown algorithm: 'nope'"),
+            (["sweep", "--algorithms", "ast,nope"], "unknown algorithm: 'nope'"),
+            (["sweep", "--objective", "cut", "--features", "f.csv"], "--features"),
+        ],
+    )
+    def test_bad_spec_is_a_usage_error_before_any_solve(self, monkeypatch, capsys, argv, message):
+        solved = []
+        monkeypatch.setattr(harness, "run_experiment", solved.append)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert solved == []
 
     def test_verify_needs_two_trials(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

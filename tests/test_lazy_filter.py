@@ -5,10 +5,12 @@ threshold loop kept gain bounds: every grid step filtered its whole pool.
 The same seeded solves through both must return the same solution, orders,
 snapshots and candidates bit for bit, while the solver here charges no more
 queries and exactly one round fewer per skipped grid step.  The copy also
-predates the oracle's base cache, so the mid-size cases check the cache's
-answers bit for bit as well.  The copy is
-imported with bytecode writing off, so this test leaves ``perfbench/`` as
-it found it.
+predates the objectives' gains: it evaluates every base and extension from
+scratch and takes differences, where the solver here reads each gain from a
+cached gain state.  So the mid-size cases (one of them revenue, whose gains
+are square-root differences) also check that reading gains leaves every
+output as it was, bit for bit.  The copy is imported with bytecode writing off, so this test leaves
+``perfbench/`` as it found it.
 """
 
 import importlib
@@ -98,7 +100,9 @@ def test_same_outputs_fewer_queries(kind, estimator, fraction):
     assert old_rounds - rounds == result.skipped_steps
 
 
-@pytest.mark.parametrize("kind, n, fraction", [("cut", 200, 0.2), ("image_summ", 300, 0.3)])
+@pytest.mark.parametrize(
+    "kind, n, fraction", [("cut", 200, 0.2), ("image_summ", 300, 0.3), ("revenue", 200, 0.1)]
+)
 def test_mid_size_same_outputs_fewer_queries(kind, n, fraction):
     # long sweeps; the cut solve uses 417 distinct bases, more than the
     # oracle's cache holds, so it also runs past evictions
