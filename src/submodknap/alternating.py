@@ -103,9 +103,12 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     keeps its own array of upper bounds on every element's gain past it,
     starting from ``singleton_gains`` (``f({u})``, or ``None`` for +inf) and
     tightened by ``rand_batch``; a step with no element whose bound clears
-    its threshold makes no query.  Returns both selection orders, snapshots
-    of the first candidate after step one and the second after step two,
-    and the number of such skipped steps with a non-empty pool.
+    its threshold makes no query.  The bounds hold only when gains can only
+    fall, so they are used only when the objective is ``submodular``; on
+    any other objective every step filters its whole fitting pool.  Returns
+    both selection orders, snapshots of the first candidate after step one
+    and the second after step two, and the number of such skipped steps
+    with a non-empty pool.
     """
     xs, ys = [], []
     start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
@@ -115,6 +118,7 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     y_after_second = ()
     skipped = 0
     ledger = oracle.ledger
+    use_bounds = getattr(oracle.objective, "submodular", False)
     for i in range(1, grid.num_thresholds + 1):
         theta = grid.gamma * (1.0 - config.epsilon) ** i
         params = RandBatchParams(
@@ -123,7 +127,8 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
         order, bound = sides[1 - i % 2]
         rounds = ledger.adaptive_rounds
         out = rand_batch(
-            oracle, pool, params, instance, rng, base=tuple(order), bound=bound
+            oracle, pool, params, instance, rng, base=tuple(order),
+            bound=bound if use_bounds else None,
         )
         skipped += bool(pool) and ledger.adaptive_rounds == rounds
         if out.accepted:

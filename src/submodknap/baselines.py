@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .randbatch import slackened
+
 BRUTE_FORCE_CAP = 24
 
 
@@ -74,6 +76,12 @@ def density_greedy_trace(oracle, instance):
     and adds the feasible element with the largest marginal-gain-per-cost
     among those with strictly positive marginal gain (ties: lowest id).
     Stops when no such element remains.
+
+    When the objective is ``submodular``, a gain can only fall as the
+    selection grows, so an element whose gain was non-positive beyond
+    rounding (``slackened(gain) <= 0``) can never be picked again.  Later
+    steps still query it, and are charged for it, but compute no gain for
+    it and rank it as a zero gain: below every positive density.
     """
     costs = instance.costs
     budget = instance.budget
@@ -83,11 +91,18 @@ def density_greedy_trace(oracle, instance):
     singles = np.full(instance.n, np.inf)
     # ``used`` only grows, so an element that stops fitting never fits again
     fits = np.nonzero(costs <= budget)[0]
+    prune = getattr(oracle.objective, "submodular", False)
+    dead = np.zeros(instance.n, dtype=bool)
     while True:
         fits = fits[used + costs[fits] <= budget]
         if not fits.size:
             break
-        gains = oracle.marginal_batch(selected, fits)
+        answers = oracle.evaluate_extensions([(selected, fits)])
+        live = np.flatnonzero(~dead[fits])
+        gains = np.zeros(fits.size)  # a dead element ranks as a zero gain
+        gains[live] = answers.read(0, live)
+        if prune:
+            dead[fits] |= slackened(gains) <= 0.0
         if not selected:
             singles[fits] = gains
         # argmax keeps the first of equal densities: fits ascend, so ties go

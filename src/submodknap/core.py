@@ -9,6 +9,7 @@ so the number of batches is what measures an algorithm's sequential depth.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,19 +116,28 @@ class CountingOracle:
     returns the state of ``base + (e,)`` and leaves ``state`` as it was, and
     ``gains(state, candidates)`` returns every ``f(u | base)`` at once,
     exactly ``0.0`` for a candidate inside ``base``.  A state extended id by
-    id gives the same gains, bit for bit, as ``state`` of the same sequence.
-    The objectives in :mod:`submodknap.objectives` all do this.
+    id gives the same gains, bit for bit, as ``state`` of the same sequence,
+    and ``gains(state, candidates[pos])`` is bit for bit
+    ``gains(state, candidates)[pos]``.  The objectives in
+    :mod:`submodknap.objectives` all do this.
+
+    Charged when asked, computed when read.  A round is checked and charged
+    in full when it is issued, as if every answer were computed then; the
+    gains themselves are computed when the caller reads them (see
+    :class:`ExtensionGains`).  So a caller that stops reading early, or
+    reads only some candidates, pays the same charges and gets the same
+    numbers, only sooner.
 
     Cache.  Each oracle keeps the gain states of the ``CACHE_SIZE`` = 256
-    bases it used most recently with candidates, keyed by the exact id
+    bases whose gains it computed most recently, keyed by the exact id
     sequence (a state's last bits may depend on the order); using the 257th
     evicts the least recently used.  The bound is fixed; nothing sets it.  A
     base whose state is cached is not checked again.  A new base whose parent
     (the base minus its last id) has a cached state, or was checked earlier
-    in the same call, checks only its last id and extends the parent's state
-    by that id.  Since the objective is pure, the cache changes no answer and
-    no charge: every base and every extension is charged as if evaluated
-    afresh.
+    in the same call, checks only its last id; its state extends the
+    parent's by that id when the parent's is cached at the time it is read.
+    Since the objective is pure, the cache changes no answer and no charge:
+    every base and every extension is charged as if evaluated afresh.
 
     Float and tie policy.  Extension queries are answered with the gains
     ``f(u | base)`` the objective returns; no base value is computed for
@@ -171,7 +181,7 @@ class CountingOracle:
             if len(set(key)) != len(key):
                 raise ValueError("a queried set repeats an element id")
 
-    def _state(self, key, arr):
+    def _state(self, key):
         """The gain state of a checked base, extended from its parent's when
         that is cached, as the most recently used entry; past
         ``CACHE_SIZE`` entries the least recently used goes."""
@@ -180,13 +190,19 @@ class CountingOracle:
         if state is None:
             parent = states.get(key[:-1]) if key else None
             if parent is None:
-                state = self.objective.state(arr)
+                state = self.objective.state(np.array(key, dtype=np.intp))
             else:
                 state = self.objective.extend(parent, key[-1])
             if len(states) >= self.CACHE_SIZE:
                 del states[next(iter(states))]
         states[key] = state
         return state
+
+    def _gains(self, key, cands):
+        """``f(u | base)`` for each checked candidate id in ``cands``."""
+        if not cands.size:
+            return np.empty(0)
+        return self.objective.gains(self._state(key), cands)
 
     def evaluate(self, ids):
         """Value of one set: one query, one adaptive round."""
@@ -212,11 +228,13 @@ class CountingOracle:
         ``sum(len(candidates) + 1)`` queries, as if ``f(base)`` and every
         ``f(base + {u})`` were evaluated: one per base, one per extension.
 
-        Returns one gains array per group, aligned to the candidate order
-        (empty for a group with no candidates).  Every id is checked before
+        Every id is checked and the whole round is charged here, before
         anything is evaluated: an id outside the ground set or a base that
         repeats an id raises ``ValueError`` and charges nothing.  Candidates
-        may repeat; each is its own query.
+        may repeat; each is its own query.  Returns an
+        :class:`ExtensionGains`, one gains array per group aligned to the
+        candidate order (empty for a group with no candidates), each
+        computed the first time it is read.
         """
         prepared = []
         queries = 0
@@ -231,18 +249,13 @@ class CountingOracle:
             if candidates is not last:  # a sweep passes one list to every group
                 cand_arr = as_id_array(candidates)
                 self._check_ids(cand_arr)
+                if cand_arr is candidates:  # read later: keep the ids of now
+                    cand_arr = cand_arr.copy()
                 last = candidates
-            prepared.append((key, base_arr, cand_arr))
+            prepared.append((key, cand_arr))
             queries += cand_arr.size + 1
-
-        out = [
-            self.objective.gains(self._state(key, base_arr), cand_arr)
-            if cand_arr.size
-            else np.empty(0)
-            for key, base_arr, cand_arr in prepared
-        ]
         self.ledger.charge(queries)
-        return out
+        return ExtensionGains(self, prepared)
 
     def exact_value(self, ids):
         """From-scratch ``f(ids)`` of a set already charged as a base or an
@@ -254,3 +267,40 @@ class CountingOracle:
         """Marginal gains ``f(u | base)`` for each candidate as an array, in
         one round.  Costs ``len(candidates) + 1`` queries."""
         return self.evaluate_extensions([(base, candidates)])[0]
+
+
+class ExtensionGains(Sequence):
+    """The answers of one :meth:`CountingOracle.evaluate_extensions` round.
+
+    Item ``i`` is group ``i``'s gains array, computed the first time it is
+    read and kept; indexing, iteration, unpacking and slices (a list) all
+    read it.  :meth:`read` gives only some of a group's gains.  The round
+    was checked and charged in full when it was issued, so reading charges
+    nothing, and a group nobody reads is never computed.
+    """
+
+    def __init__(self, oracle, groups):
+        self._oracle = oracle
+        self._groups = groups  # (base id tuple, candidate id array) per group
+        self._rows = [None] * len(groups)
+
+    def __len__(self):
+        return len(self._groups)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = self._rows[index]
+        if row is None:
+            row = self._rows[index] = self._oracle._gains(*self._groups[index])
+        return row
+
+    def read(self, index, positions):
+        """The gains of group ``index``'s candidates at ``positions`` (an
+        index array), bit for bit the same entries of the whole array; only
+        those are computed when the whole array has not been read."""
+        row = self._rows[index]
+        if row is not None:
+            return row[positions]
+        key, cands = self._groups[index]
+        return self._oracle._gains(key, cands[positions])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -538,13 +539,17 @@ def _add_common_options(sub):
 
 
 def _source(args):
-    """The data source the flags name; a data file must suit the objective."""
+    """The data source the flags name; a data file must exist and suit the
+    objective."""
     if args.graph and args.objective == "image_summ":
         raise ValueError("--graph is an edge list for cut or revenue; image_summ reads --features")
     if args.features and args.objective != "image_summ":
         raise ValueError(f"--features takes a feature CSV for image_summ, not {args.objective}")
-    if args.graph or args.features:
-        return FileSource(args.graph or args.features)
+    flag, path = ("--graph", args.graph) if args.graph else ("--features", args.features)
+    if path:
+        if not os.path.isfile(path):
+            raise ValueError(f"argument {flag}: no such file: {path}")
+        return FileSource(path)
     return GenerateSource(args.gen_n, args.gen_p, args.seed)
 
 
@@ -623,7 +628,9 @@ def main(argv=None):
         file_values = parse_config_file(args.config)
         unknown = set(file_values) - (set(vars(args)) - {"command", "config"})
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            subs.choices[args.command].error(
+                f"argument --config: {args.config}: unknown keys: {', '.join(sorted(unknown))}"
+            )
         tokens = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]
         args = parser.parse_args(argv[:1] + tokens + argv[1:])
 

@@ -6,10 +6,10 @@ Image summary is submodular only when every similarity is non-negative:
 with a negative ``sim[i, u]``, ``f(u | empty)`` counts it while the coverage
 term clips it at 0 past any ``v`` with ``sim[i, v] >= 0``, so a gain can
 rise as the base grows.  Generated features are non-negative; a feature
-file with negative entries gives signed similarities.  The solver's gain
-bounds rely on submodularity.  Objective classes precompute adjacency
-structure once and are immutable afterwards, so concurrent read-only
-evaluation is safe.
+file with negative entries gives signed similarities.  Each objective says
+which case it is in with its ``submodular`` flag.  Objective classes
+precompute adjacency structure once and are immutable afterwards, so
+concurrent read-only evaluation is safe.
 
 Every objective offers the interface :class:`~submodknap.core.CountingOracle`
 relies on:
@@ -25,7 +25,15 @@ relies on:
   revenue add edge weight in base order, image summary keeps a running max;
 - ``gains(state, candidates)``: the marginal gains ``f(u | base)`` of every
   candidate in one vectorized pass, exactly ``0.0`` for a candidate already
-  in ``base`` (candidates may repeat).
+  in ``base`` (candidates may repeat).  Each candidate's gain is computed
+  apart from the others', so the gains of a subset are bit for bit those
+  entries of the whole list's: ``gains(state, candidates[pos])`` equals
+  ``gains(state, candidates)[pos]``.  The oracle relies on this to compute
+  only the gains a caller reads;
+- ``submodular``: a read-only flag, computed from the objective's input,
+  that is True when gains can only fall as the base grows.  The solver's
+  gain bounds and density greedy's pruning of dead elements are used only
+  when it is True; an objective without the flag counts as False.
 
 Float and tie policy.  A gain and the difference of two from-scratch values
 are the same number up to rounding, not always bit for bit.  Gains steer
@@ -216,6 +224,11 @@ class _GraphObjective:
         self.n = graph.n
         self._indptr, self._indices, self._data = graph.adjacency()
 
+    @property
+    def submodular(self):
+        """Cut and revenue are submodular on any non-negative weights."""
+        return True
+
     def _weight_to(self, ids):
         """Total edge weight from ``ids`` to every node, summed in the order
         of ``ids`` (float zeros for no ids)."""
@@ -297,6 +310,12 @@ class ImageSummaryObjective:
         self.n = matrix.n
         self._sim = matrix.sim
         self._colsum = matrix.sim.sum(axis=0)
+        self._submodular = bool(matrix.sim.min() >= 0.0)
+
+    @property
+    def submodular(self):
+        """True when no similarity is negative."""
+        return self._submodular
 
     def __call__(self, ids):
         ids = np.sort(as_id_array(ids))
@@ -340,6 +359,11 @@ class ModularObjective:
         self.values = values
         self.n = values.size
 
+    @property
+    def submodular(self):
+        """A modular function's gains never change."""
+        return True
+
     def __call__(self, ids):
         ids = np.sort(as_id_array(ids))
         if ids.size == 0:
@@ -368,6 +392,11 @@ class SumObjective:
             raise ValueError("components must share one ground set size")
         self.parts = parts
         self.n = parts[0].n
+
+    @property
+    def submodular(self):
+        """True when every part is."""
+        return all(getattr(p, "submodular", False) for p in self.parts)
 
     def __call__(self, ids):
         ids = as_id_array(ids)

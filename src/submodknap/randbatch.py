@@ -8,7 +8,8 @@ passes two stopping rules: the survivor pool must lose an epsilon fraction of
 its cost mass (mass rule), and the accepted prefix must not carry too much
 negative-marginal weight relative to the surviving gain (damage rule).  Each
 iteration costs exactly one adaptive round because all prefix marginals are
-queried together.
+queried together, though only the rows up to the accepted length are
+computed.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ def _clears(gains, elem_costs, spent, threshold, residual):
 BOUND_SLACK = 1e-9
 
 
+def slackened(bound):
+    """``bound`` raised by its slack: by submodularity, no gain past a
+    larger base exceeds this, rounding included."""
+    return bound + BOUND_SLACK * np.maximum(1.0, np.abs(bound))
+
+
 def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     """Select a batch of elements whose conditional density clears a floor.
 
@@ -112,7 +119,10 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     no pool element can clear it (an empty pool included), in which case the
     call returns without touching the oracle; then one round per
     prefix-drawing iteration (survivor refilters reuse marginals already
-    queried in the sweep).
+    queried in the sweep).  Each iteration's sweep is charged and checked in
+    full when it is issued, all d + 1 rows, but a row is computed only when
+    read: rows are read in order and reading stops at row t*, so rows past
+    it cost nothing but their charge.
     """
     base = tuple(base)
     if bound is None:
@@ -125,9 +135,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     threshold = params.threshold
     residual = instance.budget - instance.cost_of(base)
 
-    pool_bound = bound[pool]
-    slack = BOUND_SLACK * np.maximum(1.0, np.abs(pool_bound))
-    live = pool[_clears(pool_bound + slack, costs[pool], 0.0, threshold, residual)]
+    live = pool[_clears(slackened(bound[pool]), costs[pool], 0.0, threshold, residual)]
     if not live.size:
         return RandBatchOutput((), (), 0)
 
@@ -152,51 +160,49 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
         seq_costs = costs[np.asarray(seq, dtype=np.intp)]
         prefix_costs = np.concatenate([[0.0], np.cumsum(seq_costs)])
 
-        # marginals of every survivor against every prefix, in one round
+        # marginals of every survivor against every prefix, charged as one
+        # round; row t is computed only when read
         groups = [
             (base + tuple(accepted) + tuple(seq[:i]), survivors)
             for i in range(d + 1)
         ]
-        gain_rows = np.vstack(oracle.evaluate_extensions(groups))  # (d+1, len(survivors))
+        rows = oracle.evaluate_extensions(groups)
 
-        surv_costs = costs[np.asarray(survivors, dtype=np.intp)]
+        surv_arr = np.asarray(survivors, dtype=np.intp)
+        surv_costs = costs[surv_arr]
         surv_index = {e: j for j, e in enumerate(survivors)}
         pool_cost = float(surv_costs.sum())
 
-        # survivors after each prefix: still worth taking once it is accepted
-        spent = (accepted_cost + prefix_costs)[:, None]
-        high = _clears(gain_rows, surv_costs, spent, threshold, residual)
-        negative = gain_rows < 0.0
-
-        # damage carried by the prefix itself: negative marginals of the
-        # drawn elements at the moment they would be added
-        step_gains = np.array(
-            [gain_rows[j, surv_index[seq[j]]] for j in range(d)]
-        )
-        damage_prefix = np.concatenate(
-            [[0.0], np.cumsum(np.where(step_gains < 0.0, -step_gains, 0.0))]
-        )
-
-        remaining_mass = np.where(high, surv_costs, 0.0).sum(axis=1)
-        surviving_gain = np.where(high, gain_rows, 0.0).sum(axis=1)
-        negative_gain = np.where(negative, -gain_rows, 0.0).sum(axis=1)
-
-        mass_rule = remaining_mass <= (1.0 - epsilon) * pool_cost
-        damage_rule = epsilon * surviving_gain <= negative_gain + damage_prefix
-
-        t1 = int(np.argmax(mass_rule)) if mass_rule.any() else d
-        t2 = int(np.argmax(damage_rule)) if damage_rule.any() else d
-        t_star = min(t1, t2)
+        # t* is the first prefix length t at which the mass rule (t1) or the
+        # damage rule (t2) fires, or d; rows are read in order up to it
+        damage_prefix = 0.0  # negative marginals of the drawn elements so far
+        for t in range(d + 1):
+            gains = rows[t]
+            # survivors after prefix t: still worth taking once it is accepted
+            high = _clears(gains, surv_costs, accepted_cost + prefix_costs[t], threshold, residual)
+            remaining_mass = np.where(high, surv_costs, 0.0).sum()
+            surviving_gain = np.where(high, gains, 0.0).sum()
+            negative_gain = np.where(gains < 0.0, -gains, 0.0).sum()
+            mass_rule = remaining_mass <= (1.0 - epsilon) * pool_cost
+            damage_rule = epsilon * surviving_gain <= negative_gain + damage_prefix
+            if mass_rule or damage_rule or t == d:
+                break
+            # the damage carried by the prefix itself: the drawn element's
+            # negative marginal at the moment it would be added
+            step_gain = gains[surv_index[seq[t]]]
+            if step_gain < 0.0:
+                damage_prefix += -step_gain
+        t_star = t
         # rows past t_star extend the base with elements left unaccepted
-        bound[survivors] = np.minimum(bound[survivors], gain_rows[t_star])
+        bound[surv_arr] = np.minimum(bound[surv_arr], gains)
 
         accepted.extend(seq[:t_star])
         accepted_cost += float(prefix_costs[t_star])
-        if t2 <= t1:
+        if damage_rule or t_star == d:  # t2 <= t1: damage fired at t*, or t1 = t2 = d
             count += 1
 
         # the survivors past the extended accepted set are row t_star; the
         # elements just accepted gain exactly 0 there, so they drop out
-        survivors = [e for e, ok in zip(survivors, high[t_star]) if ok]
+        survivors = [e for e, ok in zip(survivors, high) if ok]
 
     return RandBatchOutput(tuple(accepted), tuple(survivors), count)

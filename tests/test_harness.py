@@ -223,11 +223,14 @@ class TestConfigFile:
         assert records[0].n == 30  # file value applied
         assert records[0].seed == 9
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("warp = 9\n")
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["run", "--algorithm", "ast", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "unknown keys: warp" in err
 
     def test_badly_typed_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -311,6 +314,21 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+        assert solved == []
+
+    @pytest.mark.parametrize(
+        "objective, flag", [("cut", "--graph"), ("image_summ", "--features")]
+    )
+    def test_missing_data_file_is_a_usage_error_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, objective, flag
+    ):
+        solved = []
+        monkeypatch.setattr(harness, "run_experiment", solved.append)
+        missing = tmp_path / "absent.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--objective", objective, flag, str(missing)])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: no such file: {missing}" in capsys.readouterr().err
         assert solved == []
 
     def test_verify_needs_two_trials(self, capsys):

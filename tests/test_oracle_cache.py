@@ -4,7 +4,10 @@
 base's state by extending its parent's; it keeps no set values, and every
 value it returns is ``__call__`` of the set.  The objective is a pure
 function of the set, so every answer and every charge must be bit-identical
-to those of an oracle that has seen nothing before.
+to those of an oracle that has seen nothing before.  The oracle computes
+an extension round's gains only when they are read, so neither the order
+in which rows are read, nor reading only some, nor reading none may change
+an answer or a charge either.
 """
 
 import numpy as np
@@ -22,6 +25,7 @@ from submodknap import (
     gen_erdos_renyi,
     similarity_from_features,
 )
+from submodknap.core import ExtensionGains
 
 KINDS = ("cut", "revenue", "image_summ", "modular", "sum")
 
@@ -44,10 +48,11 @@ def _objective(kind, n, seed):
 
 def _bits(answer):
     """An oracle answer as exact bytes: floats by ``hex``, arrays by dtype
-    and raw bytes."""
+    and raw bytes, and the gains of an extension round by reading every
+    row in order."""
     if isinstance(answer, np.ndarray):
         return (answer.dtype.str, answer.tobytes())
-    if isinstance(answer, (list, tuple)):
+    if isinstance(answer, (list, tuple, ExtensionGains)):
         return tuple(_bits(a) for a in answer)
     return float(answer).hex()
 
@@ -168,6 +173,7 @@ class _Counting(CutObjective):
     def __init__(self, graph):
         super().__init__(graph)
         self.counts = {"call": 0, "state": 0, "extend": 0}
+        self.read = []  # the number of candidates of each gains call
 
     def __call__(self, ids):
         self.counts["call"] += 1
@@ -181,6 +187,10 @@ class _Counting(CutObjective):
         self.counts["extend"] += 1
         return super().extend(state, e)
 
+    def gains(self, state, candidates):
+        self.read.append(len(candidates))
+        return super().gains(state, candidates)
+
 
 def test_repeated_bases_are_evaluated_once_and_prefixes_extended():
     objective = _Counting(gen_erdos_renyi(20, 0.3, seed=3))
@@ -192,3 +202,99 @@ def test_repeated_bases_are_evaluated_once_and_prefixes_extended():
     assert oracle.exact_value((4, 9, 1)) == objective((4, 9, 1))
     assert objective.counts == {"call": 2, "state": 1, "extend": 3}  # both calls are ours
     assert oracle.ledger.snapshot() == (32, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_gains_of_a_subset_are_those_entries_of_the_whole(kind, n, seed, data):
+    # the subset-read rule of the objectives contract: candidates may repeat
+    # and may lie inside the base
+    objective = _objective(kind, n, seed)
+    base = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    state = objective.state(np.asarray(base, dtype=np.intp))
+    cands = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
+    pos = np.asarray(
+        data.draw(st.lists(st.integers(0, cands.size - 1), max_size=cands.size)), dtype=np.intp
+    )
+    whole = objective.gains(state, cands)
+    assert _bits(objective.gains(state, cands[pos])) == _bits(whole[pos])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gains_of_a_subset_match_on_long_rows(kind):
+    # image_summ sums each candidate's row of n similarities; past 128
+    # entries numpy sums pairwise in blocks, which must not depend on how
+    # many rows are summed together
+    n = 300
+    objective = _objective(kind, n, seed=39)
+    rng = np.random.default_rng(40)
+    state = objective.state(rng.permutation(n)[:30])
+    cands = rng.integers(0, n, size=2 * n)
+    whole = objective.gains(state, cands)
+    for size in (1, 7, 150):
+        pos = rng.integers(0, cands.size, size=size)
+        assert _bits(objective.gains(state, cands[pos])) == _bits(whole[pos])
+
+
+def _sweep(n, seed, d):
+    """A sweep's groups: ``d + 1`` nested prefixes of a random order, each
+    with the same candidates (repeats and members of the prefixes among
+    them)."""
+    rng = np.random.default_rng(seed)
+    order = tuple(rng.permutation(n)[:d].tolist())
+    cands = rng.integers(0, n, size=2 * n).tolist()
+    return [(order[:i], cands) for i in range(d + 1)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_read_in_any_order_or_in_part_match_a_fresh_oracle(kind):
+    objective = _objective(kind, 10, seed=34)
+    groups = _sweep(10, seed=35, d=6)
+    fresh = CountingOracle(objective)
+    want = list(fresh.evaluate_extensions(groups))  # every row, in order
+    rng = np.random.default_rng(36)
+    for _ in range(6):
+        oracle = CountingOracle(objective)
+        answers = oracle.evaluate_extensions(groups)
+        assert oracle.ledger.snapshot() == fresh.ledger.snapshot()  # charged at once
+        for i in rng.permutation(len(groups))[: rng.integers(1, len(groups) + 1)]:
+            pos = rng.integers(0, len(groups[i][1]), size=5)
+            assert _bits(answers.read(i, pos)) == _bits(want[i][pos])
+            if rng.random() < 0.5:
+                assert _bits(answers[i]) == _bits(want[i])
+                assert _bits(answers.read(i, pos)) == _bits(want[i][pos])
+        assert _bits(answers[1:3]) == _bits(want[1:3])
+        assert oracle.ledger.snapshot() == fresh.ledger.snapshot()  # reading is free
+
+
+def test_a_round_nobody_reads_is_charged_in_full_and_computes_nothing():
+    objective = _Counting(gen_erdos_renyi(20, 0.3, seed=3))
+    oracle = CountingOracle(objective)
+    groups = _sweep(20, seed=37, d=5)
+    answers = oracle.evaluate_extensions(groups)
+    assert oracle.ledger.snapshot() == (6 * 41, 1)
+    assert objective.counts == {"call": 0, "state": 0, "extend": 0}
+    assert objective.read == []
+    # rows 0..2 in order: one state, then each row extends the one before;
+    # a part read computes only the gains asked for
+    for i in range(3):
+        answers[i]
+    answers.read(4, [0, 3])
+    assert objective.counts == {"call": 0, "state": 2, "extend": 2}
+    assert objective.read == [40, 40, 40, 2]
+    assert oracle.ledger.snapshot() == (6 * 41, 1)
+
+
+def test_answers_keep_the_candidates_they_were_asked_for():
+    objective = _objective("cut", 9, seed=38)
+    cands = np.arange(9)
+    oracle = CountingOracle(objective)
+    answers = oracle.evaluate_extensions([((2,), cands)])
+    want = _fresh(objective, "evaluate_extensions", ([((2,), np.arange(9))],))[0]
+    cands[:] = 0  # the caller reuses its array before reading
+    assert _bits(answers) == want

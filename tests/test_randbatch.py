@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import submodknap
 from submodknap import (
     CountingOracle,
     CutObjective,
@@ -12,6 +13,7 @@ from submodknap import (
     gen_erdos_renyi,
     get_seq,
     rand_batch,
+    similarity_from_features,
 )
 
 
@@ -264,3 +266,46 @@ class TestRandBatch:
         beta = float(graph.node_costs.max() / graph.node_costs.min())
         bound = (1.0 / params.epsilon) * (math.log(60 * beta) + params.accept_cap)
         assert np.mean(rounds) <= bound
+
+
+@pytest.mark.parametrize("kind", ["cut", "signed_image_summ"])
+def test_sweep_read_to_t_star_matches_the_frozen_copy(kind):
+    # the frozen copy computes every sweep row and takes t* = min(t1, t2)
+    # over all of them; here rows are read only up to t*.  Budgets, floors
+    # and acceptance caps vary from call to call.
+    from test_lazy_filter import baseline
+
+    rng = np.random.default_rng(12)
+    n = 20
+    if kind == "cut":
+        graph = gen_erdos_renyi(n, 0.4, seed=13)
+
+        def build(package):
+            return package.objectives.CutObjective(package.objectives.WeightedGraph(n, graph.edges))
+    else:
+        sim = similarity_from_features(rng.normal(size=(n, 6))).sim
+
+        def build(package):
+            matrix = package.objectives.SimilarityMatrix(sim)
+            return package.objectives.ImageSummaryObjective(matrix)
+
+    costs = 0.1 + rng.random(n)
+    accepted = 0
+    for seed in range(40):
+        outs = []
+        for package in (submodknap, baseline):
+            objective = build(package)
+            budget = (0.1 + 0.1 * (seed % 5)) * float(costs.sum())
+            instance = package.KnapsackInstance(costs, budget)
+            dens = np.array([objective([e]) for e in range(n)]) / costs
+            params = package.RandBatchParams(
+                threshold=(0.05 + 0.1 * (seed % 7)) * float(dens.max()), accept_cap=1 + seed % 3
+            )
+            out = package.rand_batch(
+                package.CountingOracle(objective), tuple(range(n)), params, instance,
+                np.random.default_rng(seed),
+            )
+            outs.append((out.accepted, out.surviving, out.damage_count))
+        assert outs[0] == outs[1]
+        accepted += len(outs[0][0])
+    assert accepted > 40
