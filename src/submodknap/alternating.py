@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import as_id_array
 from .estimator import ESTIMATORS, check_grid_params, gamma_and_guesses
-from .randbatch import RandBatchParams, rand_batch
+from .randbatch import BOUND_SLACK, RandBatchParams, rand_batch, slackened
 from .unconstrained import unsub_max
 
 _value = itemgetter(1)  # the value of an (ids, value) candidate
@@ -142,17 +142,35 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     return tuple(xs), tuple(ys), x_after_first, y_after_second, skipped
 
 
-def augment_prefixes(oracle, instance, order):
+def augment_prefixes(oracle, instance, order, singleton_gains=None):
     """Try every prefix of ``order`` with its best feasible extra element.
 
     All prefix extensions plus the full set itself are charged in one
     adaptive round.  For each prefix the winning element is the feasible one
     (anywhere in the ground set, including inside the prefix, where it adds
-    nothing) with the highest gain, ties to the lowest id.  The full set's
-    and each winner's recorded values are their sets' from-scratch values,
+    nothing) with the highest gain, ties to the lowest id.  The recorded
+    value of the full set and of the best augmented prefix (the first of
+    equal values, in prefix order) are their sets' from-scratch values,
     which the round has already paid for.
 
-    Returns ``(value_of_full_set, [(augmented_ids, value), ...])``.
+    Only what the two argmaxes can use is computed.  When the objective is
+    ``submodular``, each element keeps an upper bound on its gain, starting
+    from ``singleton_gains`` (``f({u})``, or ``None`` for +inf) and lowered
+    by every gain read; an element that joins the prefix gets bound 0.0,
+    its gain from then on.  Each prefix's row is read in two steps: the
+    gains of the next order element and of the element with the highest
+    bound, then those of the elements whose bound, raised by ``slackened``,
+    reaches the larger of the two; nobody else can win.  On any other
+    objective whole rows are read.  Each prefix's value is estimated back
+    from the exact ``f(order)`` with the rows' gains of the next order
+    element, and only the augmented prefixes whose estimate comes within
+    ``BOUND_SLACK`` times the chain's magnitude of the best estimate get a
+    from-scratch value.  When budget-boundary rounding leaves a next order
+    element out of its prefix's candidates the chain is broken, and every
+    augmented prefix gets its from-scratch value.
+
+    Returns ``(value_of_full_set, (augmented_ids, value))``, the second
+    ``None`` for an empty ``order``.
     """
     order = tuple(int(e) for e in as_id_array(order).tolist())
     costs = instance.costs
@@ -165,15 +183,76 @@ def augment_prefixes(oracle, instance, order):
         prefix_cost += costs[e]
         fits = np.nonzero((costs + prefix_cost <= budget) | in_prefix)[0]
         groups.append((order[:i], fits))
-    results = oracle.evaluate_extensions(groups)
+    rows = oracle.evaluate_extensions(groups)
+    full_value = oracle.exact_value(order)
+    if not order:
+        return full_value, None
 
-    # a prefix's own elements always fit, so every prefix has a candidate
-    augmented = []
-    for (prefix, cands), gains in zip(groups[1:], results[1:]):
-        pick = int(cands[int(np.argmax(gains))])
-        aug = prefix if pick in prefix else prefix + (pick,)
-        augmented.append((aug, oracle.exact_value(aug)))
-    return oracle.exact_value(order), augmented
+    if getattr(oracle.objective, "submodular", False):
+        bound = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains.copy()
+    else:
+        bound = None
+    augmented, best_gains, steps = [], [], []
+    for i, (prefix, cands) in enumerate(groups[1:], start=1):
+        # the next order element's position among the candidates, or None
+        nxt = None
+        if i < len(order):
+            pos = int(np.searchsorted(cands, order[i]))
+            if pos < cands.size and cands[pos] == order[i]:
+                nxt = pos
+        if bound is None:
+            gains = rows[i]
+            win = int(np.argmax(gains))
+            gain = gains[win]
+            step = None if nxt is None else gains[nxt]
+        else:
+            win, gain, step = _lazy_row_argmax(rows, i, cands, bound, prefix[-1], nxt)
+        # a prefix's own elements always fit, so every prefix has a candidate
+        pick = int(cands[win])
+        augmented.append(prefix if pick in prefix else prefix + (pick,))
+        best_gains.append(gain)
+        steps.append(step)
+
+    # f(order[:i]) = f(order[:i + 1]) - f(order[i] | order[:i]), back from
+    # the exact f(order); a next element missing from its row breaks it
+    if None in steps[:-1]:
+        reach = range(len(order))
+    else:
+        chain = np.array(steps[:-1], dtype=np.float64)
+        best_gains = np.array(best_gains, dtype=np.float64)
+        estimates = full_value - np.append(np.cumsum(chain[::-1])[::-1], 0.0) + best_gains
+        magnitude = abs(full_value) + np.abs(chain).sum() + np.abs(best_gains).max()
+        slack = BOUND_SLACK * max(1.0, magnitude)
+        reach = np.nonzero(estimates >= estimates.max() - slack)[0].tolist()
+    best = None
+    for i in reach:
+        value = oracle.exact_value(augmented[i])
+        if best is None or value > best[1]:
+            best = (augmented[i], value)
+    return full_value, best
+
+
+def _lazy_row_argmax(rows, i, cands, bound, joined, nxt):
+    """``(winner position, its gain, gain at nxt or None)`` of row ``i`` of
+    ``augment_prefixes``, reading only the gains the bounds cannot rule out
+    and lowering ``bound`` with every gain read.  ``joined`` is the element
+    that joined the prefix at this row."""
+    bound[joined] = 0.0  # its gain is exactly 0 from here on
+    cand_bound = bound[cands]
+    top = int(np.argmax(cand_bound))
+    first = np.array([top] if nxt is None else [nxt, top], dtype=np.intp)
+    gains = rows.read(i, first)
+    step = None if nxt is None else gains[0]
+    live = slackened(cand_bound) >= gains.max()
+    live[first] = False
+    rest = np.nonzero(live)[0]
+    if rest.size:
+        first = np.concatenate([first, rest])
+        gains = np.concatenate([gains, rows.read(i, rest)])
+    ids = cands[first]
+    bound[ids] = np.minimum(bound[ids], gains)
+    gain = gains.max()
+    return int(first[gains == gain].min()), gain, step
 
 
 def ast(oracle, instance, config=None):
@@ -236,17 +315,17 @@ def ast(oracle, instance, config=None):
         s1, s1_value = unsub_max(oracle, boost_ground, samples, rng)
     unsub_queries, unsub_rounds = ledger.snapshot()
 
-    x_value, x_augs = augment_prefixes(oracle, instance, x_order)
-    y_value, y_augs = augment_prefixes(oracle, instance, y_order)
+    x_value, x_best = augment_prefixes(oracle, instance, x_order, estimate.singleton_gains)
+    y_value, y_best = augment_prefixes(oracle, instance, y_order, estimate.singleton_gains)
     end_queries, end_rounds = ledger.snapshot()
 
     # the final argmax: max keeps the first of equal values, so ties go to
     # the earliest candidate in this order
     compared = {}
-    if x_augs:
-        compared["best_x_aug"] = max(x_augs, key=_value)
-    if y_augs:
-        compared["best_y_aug"] = max(y_augs, key=_value)
+    if x_best is not None:
+        compared["best_x_aug"] = x_best
+    if y_best is not None:
+        compared["best_y_aug"] = y_best
     compared["X"] = (x_order, x_value)
     compared["Y"] = (y_order, y_value)
     if s1 is not None:
@@ -262,7 +341,7 @@ def ast(oracle, instance, config=None):
         y_order=y_order,
         x_after_first=x_after_first,
         y_after_second=y_after_second,
-        compared_candidates=len(x_augs) + len(y_augs) + 2 + (s1 is not None),
+        compared_candidates=len(x_order) + len(y_order) + 2 + (s1 is not None),
         gamma=grid.gamma,
         num_thresholds=grid.num_thresholds,
         accept_cap=grid.accept_cap,

@@ -142,9 +142,16 @@ class CountingOracle:
     Float and tie policy.  Extension queries are answered with the gains
     ``f(u | base)`` the objective returns; no base value is computed for
     them.  Gains steer every threshold test, stopping rule and argmax.
-    Every value the solver reports (``X``, ``Y``, ``S1``, the augmented
-    winners, the estimator's ``S0``) is ``__call__`` of the reported set,
-    read with :meth:`exact_value` once the set has been charged.
+    Every value the solver reports (``X``, ``Y``, ``S1``, the best
+    augmented prefixes, the estimator's ``S0``) is ``__call__`` of the
+    reported set, read with :meth:`exact_value` once the set has been
+    charged.  A caller that skips gains or values another caller would
+    compute (the threshold loop's filter, density greedy, the rows and the
+    value estimates of ``augment_prefixes``) allows a relative slack of
+    ``BOUND_SLACK`` = 1e-9 for rounding, so it gets the same answer as long
+    as a gain exceeds an earlier one past a smaller base, or the difference
+    of two from-scratch values, by less than that.  Ties go to the lowest
+    id within a gains array and to the earliest set among equal values.
 
     Parameters
     ----------

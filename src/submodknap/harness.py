@@ -485,7 +485,7 @@ def parse_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+                raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -625,10 +625,15 @@ def main(argv=None):
         # file values are parsed as flags placed between the command and the
         # command line's own flags: argparse checks their types and choices,
         # and explicit flags still win
-        file_values = parse_config_file(args.config)
+        command = subs.choices[args.command]
+        try:
+            file_values = parse_config_file(args.config)
+        except (OSError, ValueError) as exc:  # no such file, not text, a malformed line
+            reason = getattr(exc, "strerror", None) or exc
+            command.error(f"argument --config: {args.config}: {reason}")
         unknown = set(file_values) - (set(vars(args)) - {"command", "config"})
         if unknown:
-            subs.choices[args.command].error(
+            command.error(
                 f"argument --config: {args.config}: unknown keys: {', '.join(sorted(unknown))}"
             )
         tokens = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]

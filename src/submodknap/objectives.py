@@ -39,9 +39,13 @@ Float and tie policy.  A gain and the difference of two from-scratch values
 are the same number up to rounding, not always bit for bit.  Gains steer
 every threshold test, stopping rule and argmax, so only a comparison tied to
 within rounding can go the other way.  Every value the solver reports (``X``,
-``Y``, ``S1``, the augmented winners, the estimator's ``S0``) comes from
-``__call__`` on the reported set, so it is the exact from-scratch number
-whichever path found the set.
+``Y``, ``S1``, the best augmented prefixes, the estimator's ``S0``) comes
+from ``__call__`` on the reported set, so it is the exact from-scratch
+number whichever path found the set.  ``augment_prefixes`` estimates each
+prefix's value from gains and calls ``__call__`` only on the sets whose
+estimate comes within a relative ``BOUND_SLACK`` of the best; the gain
+bounds allow the same slack.  Ties go to the lowest id among gains and to
+the earliest prefix among values.
 """
 
 from __future__ import annotations

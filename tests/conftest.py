@@ -68,3 +68,38 @@ def naive_image_summary(matrix, ids):
     coverage = sum(max(matrix.sim[u][v] for v in inside) for u in range(n))
     penalty = sum(matrix.sim[u][v] for u in range(n) for v in inside) / n
     return coverage - penalty
+
+
+def naive_augment_prefixes(oracle, instance, order):
+    """``augment_prefixes`` the plain way: the same one charged round, every
+    gain of every row read, and ``__call__`` on every augmented prefix.
+
+    Returns ``(f(order), [(augmented_ids, value) per prefix], best)``, where
+    ``best`` is the first augmented prefix of the highest value (``None``
+    for an empty order).  A prefix's candidates are the elements inside it
+    and those whose cost, added to the prefix's running cost, fits the
+    budget; its winner is the first candidate, in id order, of the highest
+    gain.
+    """
+    order = tuple(int(e) for e in order)
+    costs = instance.costs
+    groups = [(order, ())]
+    prefix_cost = 0.0
+    for i in range(1, len(order) + 1):
+        prefix_cost += costs[order[i - 1]]
+        prefix = order[:i]
+        fits = [e for e in range(instance.n)
+                if e in prefix or costs[e] + prefix_cost <= instance.budget]
+        groups.append((prefix, np.array(fits, dtype=np.intp)))
+    rows = oracle.evaluate_extensions(groups)
+    augmented = []
+    for (prefix, cands), gains in zip(groups[1:], list(rows)[1:]):
+        gains = list(gains)
+        pick = int(cands[gains.index(max(gains))])
+        aug = prefix if pick in prefix else prefix + (pick,)
+        augmented.append((aug, float(oracle.objective(aug))))
+    best = None
+    for aug, value in augmented:
+        if best is None or value > best[1]:
+            best = (aug, value)
+    return float(oracle.objective(order)), augmented, best

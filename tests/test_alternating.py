@@ -6,15 +6,22 @@ from submodknap import (
     AstConfig,
     CountingOracle,
     CutObjective,
+    ImageSummaryObjective,
     KnapsackInstance,
     ModularObjective,
     OptEstimate,
+    RevenueObjective,
+    SumObjective,
     ast,
     augment_prefixes,
     brute_force_opt,
+    estimate_best_singleton,
     gen_erdos_renyi,
+    revenue_costs,
+    similarity_from_features,
     split_ground,
 )
+from conftest import naive_augment_prefixes
 
 
 class TestSplitGround:
@@ -44,27 +51,32 @@ class TestSplitGround:
 
 
 class TestAugmentPrefixes:
+    # each fact is checked on the naive reference, which records every
+    # augmented prefix, and augment_prefixes must return its best one
+
     def test_empty_order_yields_no_prefixes(self):
         oracle = CountingOracle(ModularObjective([1.0, 2.0]))
         instance = KnapsackInstance(np.ones(2), 1.0)
-        full_value, augmented = augment_prefixes(oracle, instance, ())
-        assert full_value == 0.0
-        assert augmented == []
+        full_value, best = augment_prefixes(oracle, instance, ())
+        assert (full_value, best) == (0.0, None)
         assert oracle.ledger.adaptive_rounds == 1
+        assert naive_augment_prefixes(oracle, instance, ()) == (0.0, [], None)
 
     def test_budget_saturated_prefix_stays_put(self):
         # the single prefix uses the whole budget, so only its own elements
         # are feasible extensions and the prefix survives unchanged
         oracle = CountingOracle(ModularObjective([5.0, 9.0]))
         instance = KnapsackInstance(np.array([1.0, 1.0]), 1.0)
-        _, augmented = augment_prefixes(oracle, instance, (0,))
-        assert augmented == [((0,), 5.0)]
+        _, best = augment_prefixes(oracle, instance, (0,))
+        assert best == ((0,), 5.0)
+        assert naive_augment_prefixes(oracle, instance, (0,))[1] == [((0,), 5.0)]
 
     def test_picks_best_feasible_extension(self):
         oracle = CountingOracle(ModularObjective([1.0, 9.0, 4.0]))
         instance = KnapsackInstance(np.ones(3), 2.0)
-        _, augmented = augment_prefixes(oracle, instance, (0,))
-        assert augmented == [((0, 1), 10.0)]
+        _, best = augment_prefixes(oracle, instance, (0,))
+        assert best == ((0, 1), 10.0)
+        assert naive_augment_prefixes(oracle, instance, (0,))[1] == [((0, 1), 10.0)]
 
     def test_single_round_regardless_of_prefix_count(self):
         oracle = CountingOracle(ModularObjective(np.arange(1.0, 7.0)))
@@ -78,16 +90,149 @@ class TestAugmentPrefixes:
         # the winners and the ledger are those of per-candidate evaluation
         graph = gen_erdos_renyi(40, 0.3, seed=5)
         objective = CutObjective(graph)
-        oracle = CountingOracle(objective)
         instance = KnapsackInstance(graph.node_costs, 0.25 * graph.node_costs.sum())
-        full_value, augmented = augment_prefixes(oracle, instance, (3, 11, 27, 8, 19))
-        assert full_value == objective((3, 11, 27, 8, 19))
+        order = (3, 11, 27, 8, 19)
+        naive_oracle = CountingOracle(objective)
+        naive_full, augmented, naive_best = naive_augment_prefixes(naive_oracle, instance, order)
         assert [aug for aug, _ in augmented] == [
             (3, 24), (3, 11, 24), (3, 11, 27, 24), (3, 11, 27, 8, 32), (3, 11, 27, 8, 19, 32)
         ]
         for aug, value in augmented:
             assert value == objective(aug)
-        assert oracle.ledger.snapshot() == (206, 1)
+        oracle = CountingOracle(objective)
+        full_value, best = augment_prefixes(oracle, instance, order)
+        assert full_value == objective(order) == naive_full
+        assert best == naive_best and best[1] == objective(best[0])
+        assert oracle.ledger.snapshot() == naive_oracle.ledger.snapshot() == (206, 1)
+
+
+class _RisingModular(ModularObjective):
+    """Modular values whose gains rise by ``rise[u]``, relative, per element
+    of the base, as rounding can make a submodular objective's gains rise;
+    every rise here stays below ``BOUND_SLACK``.  ``__call__`` is the plain
+    sum of values."""
+
+    def __init__(self, values, rise):
+        super().__init__(values)
+        self.rise = np.asarray(rise, dtype=np.float64)
+
+    def gains(self, inside, candidates):
+        cands = np.asarray(candidates, dtype=np.intp)
+        return super().gains(inside, cands) * (1.0 + self.rise[cands] * inside.sum())
+
+
+DIFFERENTIAL_KINDS = ("cut", "revenue", "image_summ", "signed_image_summ", "modular", "sum")
+
+
+def _differential_case(kind, rng):
+    """An objective of ``kind`` with its costs (n = 30 to 40)."""
+    graph = gen_erdos_renyi(40, 0.3, seed=int(rng.integers(1000)))
+    if kind == "cut":
+        return CutObjective(graph), graph.node_costs
+    if kind == "revenue":
+        return RevenueObjective(graph), revenue_costs(graph)
+    costs = 0.1 + rng.random(30)
+    if kind == "image_summ":
+        return ImageSummaryObjective(similarity_from_features(rng.random((30, 8)))), costs
+    if kind == "signed_image_summ":
+        return ImageSummaryObjective(similarity_from_features(rng.normal(size=(30, 6)))), costs
+    values = rng.normal(1.0, 1.0, size=40)  # some negative
+    if kind == "modular":
+        return ModularObjective(values), graph.node_costs
+    return SumObjective(CutObjective(graph), ModularObjective(values)), graph.node_costs
+
+
+def _assert_matches_naive(objective, instance, order, singleton_gains):
+    naive_oracle = CountingOracle(objective)
+    naive_full, _, naive_best = naive_augment_prefixes(naive_oracle, instance, order)
+    oracle = CountingOracle(objective)
+    full_value, best = augment_prefixes(oracle, instance, order, singleton_gains)
+    assert full_value.hex() == naive_full.hex()
+    if naive_best is None:
+        assert best is None
+    else:
+        assert best[0] == naive_best[0]
+        assert best[1].hex() == naive_best[1].hex()
+    assert oracle.ledger.snapshot() == naive_oracle.ledger.snapshot()
+    return naive_best
+
+
+class TestAugmentPrefixesMatchesNaive:
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("kind", DIFFERENTIAL_KINDS)
+    def test_solver_and_random_orders(self, kind, estimator):
+        # the solver's own orders with the estimator's singleton gains, and
+        # random feasible orders with those gains and with none
+        rng = np.random.default_rng(
+            [DIFFERENTIAL_KINDS.index(kind), sorted(ESTIMATORS).index(estimator)]
+        )
+        for budget_fraction in (0.1, 0.3):
+            objective, costs = _differential_case(kind, rng)
+            instance = KnapsackInstance(costs, budget_fraction * float(np.sort(costs).sum()))
+            gains = ESTIMATORS[estimator](CountingOracle(objective), instance).singleton_gains
+            result = ast(CountingOracle(objective), instance, AstConfig(seed=3, estimator=estimator))
+            for name, order in (("best_x_aug", result.x_order), ("best_y_aug", result.y_order)):
+                naive_best = _assert_matches_naive(objective, instance, order, gains)
+                assert result.candidates.get(name) == naive_best
+            for _ in range(4):
+                order = ()
+                for e in rng.permutation(instance.n).tolist():
+                    if instance.feasible(order + (e,)):
+                        order += (e,)
+                _assert_matches_naive(objective, instance, order, gains)
+                _assert_matches_naive(objective, instance, order, None)
+
+    def test_element_joining_with_a_negative_gain(self):
+        # 1 joins first with singleton gain -5, then 2 with gain -2 past it;
+        # every outside gain is negative too, so the best extension of each
+        # prefix is one of its own elements (gain 0), found only because a
+        # joining element's bound becomes 0
+        objective = ModularObjective([-1.0, -5.0, -2.0, -3.0])
+        instance = KnapsackInstance(np.ones(4), 4.0)
+        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        assert gains.tolist() == [-1.0, -5.0, -2.0, -3.0]
+        best = _assert_matches_naive(objective, instance, (1, 2), gains)
+        assert best == ((1,), -5.0)
+
+    def test_budget_boundary_breaks_the_value_chain(self):
+        # (2, 1, 0) is feasible summed in id order (0.3 + 0.2 + 0.1 = 0.6)
+        # but not in order (0.1 + 0.2 + 0.3 > 0.6), so 0 is no candidate of
+        # the prefix (2, 1) and every augmented prefix's value is computed
+        objective = ModularObjective([100.0, 5.0, 5.0])
+        instance = KnapsackInstance(np.array([0.3, 0.2, 0.1]), 0.6)
+        assert instance.feasible((2, 1, 0)) and 0.1 + 0.2 + 0.3 > 0.6
+        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        best = _assert_matches_naive(objective, instance, (2, 1, 0), gains)
+        assert best == ((2, 1, 0), 110.0)
+
+    def test_ties_go_to_the_lowest_id(self):
+        # past {0}, 1, 2 and 3 gain 3 each; 3 is read first, as the next
+        # order element, but 1 wins
+        objective = ModularObjective([1.0, 3.0, 3.0, 3.0])
+        instance = KnapsackInstance(np.ones(4), 2.0)
+        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        best = _assert_matches_naive(objective, instance, (0, 3), gains)
+        assert best == ((0, 1), 4.0)
+
+    def test_gain_bounds_keep_their_slack(self):
+        # past {0}, 2's gain (2 + 4e-10) tops its bound f({2}) = 2 and the
+        # gain of the next order element 3 (2 + 2e-10): only the slack keeps
+        # 2 among the elements read
+        objective = _RisingModular([1.0, 2.0, 2.0, 2.0], [0.0, 0.0, 2e-10, 1e-10])
+        instance = KnapsackInstance(np.ones(4), 2.0)
+        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        best = _assert_matches_naive(objective, instance, (0, 3), gains)
+        assert best == ((0, 2), 3.0)
+
+    def test_value_estimates_keep_their_slack(self):
+        # 3's gain past {0, 1} rises to 1 + 2e-10, so the chain puts
+        # f({0}) 2e-10 low and the estimate of (0, 2) 1e-10 below that of
+        # (0, 1, 3), although (0, 2) is worth 1e-10 more
+        objective = _RisingModular([1.0, 1.0, 2.0 + 1e-10, 1.0], [0.0, 0.0, 0.0, 1e-10])
+        instance = KnapsackInstance(np.array([1.0, 1.0, 2.0, 1.0]), 3.0)
+        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        best = _assert_matches_naive(objective, instance, (0, 1, 3), gains)
+        assert best[0] == (0, 2) and best[1] > objective((0, 1, 3))
 
 
 class TestConfigValidation:

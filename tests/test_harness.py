@@ -232,6 +232,24 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "--config" in err and "unknown keys: warp" in err
 
+    def test_unreadable_or_malformed_file_is_a_usage_error(self, tmp_path, capsys):
+        malformed = tmp_path / "malformed.cfg"
+        malformed.write_text("trials = 2\nepsilon 0.11\n")
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe = 1\n")
+        for path, reason in [
+            (tmp_path / "none.cfg", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+            (binary, "'utf-8' codec can't decode"),
+            (malformed, "line 2: expected 'key = value'"),
+        ]:
+            for command in ("run", "sweep"):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([command, "--config", str(path)])
+                assert exit_info.value.code == 2
+                err = capsys.readouterr().err
+                assert f"argument --config: {path}: {reason}" in err
+
     def test_badly_typed_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         # a value outside a flag's choices is checked like a bad type

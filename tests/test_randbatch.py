@@ -251,6 +251,41 @@ class TestRandBatch:
                 if values[e] / costs[e] >= threshold and e not in out.accepted:
                     pytest.fail("dense feasible element left unselected")
 
+    @pytest.mark.parametrize(
+        "pair_weight, accepted, damage_count",
+        [
+            # y's own loss of 6.2 past x fires the damage rule at t = 2,
+            # where no survivor's gain is negative: 0.1 * 60 <= 0 + 6.2
+            (5.6, (0, 1), 1),
+            # a loss of 4.5 fires it at t = 4 (0.1 * 40 <= 4.5), not at
+            # t = 2 (0.1 * 60 > 4.5): the loss is counted once, not twice
+            (4.75, (0, 1, 2, 3), 1),
+        ],
+        ids=["fires-on-own-loss", "loss-counted-once"],
+    )
+    def test_damage_rule_counts_drawn_elements_own_losses(
+        self, monkeypatch, pair_weight, accepted, damage_count
+    ):
+        # f is a quadratic: gain(u | S) = a_u - 2 * sum of w(u, v) over v in
+        # S, built as a cut plus a modular offset.  x = 0, y = 1, z = 2 cost
+        # 1 and start at gain 5; G = 3, 4, 5 cost 10, gain 20 throughout.
+        # Past x, y's gain is 5 - 2 * pair_weight < 0; past x and y, z's is
+        # 0.5, below the density floor 1.  The drawn order is fixed (x, y,
+        # z, G), so the mass rule holds off until t = 4 (0.9 * 33 < 30).
+        graph = submodknap.WeightedGraph(6, [(0, 1, pair_weight), (1, 2, 2.25)])
+        offsets = np.array([5.0, 5.0, 5.0, 20.0, 20.0, 20.0]) - graph.weighted_degrees()
+        objective = submodknap.SumObjective(CutObjective(graph), ModularObjective(offsets))
+        instance = KnapsackInstance(np.array([1.0, 1.0, 1.0, 10.0, 10.0, 10.0]), 40.0)
+        monkeypatch.setattr(submodknap.randbatch, "get_seq", lambda current, pool, *_: sorted(pool))
+        out = rand_batch(
+            CountingOracle(objective),
+            tuple(range(6)),
+            RandBatchParams(threshold=1.0, accept_cap=1),
+            instance,
+            np.random.default_rng(0),
+        )
+        assert (out.accepted, out.damage_count) == (accepted, damage_count)
+
     def test_round_accounting_shape(self):
         # rounds per call stay within a generous multiple of log(pool) + cap
         graph = gen_erdos_renyi(60, 0.3, seed=10)
