@@ -113,7 +113,8 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     xs, ys = [], []
     start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
     sides = ((xs, start.copy()), (ys, start.copy()))
-    pool = [int(e) for e in pool]
+    pool = as_id_array(pool)
+    taken = np.zeros(instance.n, dtype=bool)
     x_after_first = ()
     y_after_second = ()
     skipped = 0
@@ -130,11 +131,11 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
             oracle, pool, params, instance, rng, base=tuple(order),
             bound=bound if use_bounds else None,
         )
-        skipped += bool(pool) and ledger.adaptive_rounds == rounds
+        skipped += pool.size > 0 and ledger.adaptive_rounds == rounds
         if out.accepted:
             order.extend(out.accepted)
-            taken = set(out.accepted)
-            pool = [e for e in pool if e not in taken]
+            taken[list(out.accepted)] = True
+            pool = pool[~taken[pool]]
         if i == 1:
             x_after_first = tuple(xs)
         elif i == 2:

@@ -85,7 +85,7 @@ def density_greedy_trace(oracle, instance):
     """
     costs = instance.costs
     budget = instance.budget
-    selected = []
+    selected = ()  # a tuple of ints: the oracle's own key for the base
     used = 0.0
     value = 0.0
     singles = np.full(instance.n, np.inf)
@@ -112,11 +112,11 @@ def density_greedy_trace(oracle, instance):
         if density[j] == -np.inf:
             break
         best = int(fits[j])
-        selected.append(best)
+        selected += (best,)
         fits = np.delete(fits, j)
         used += costs[best]
         value += gains[j]
-    return GreedyTrace(tuple(selected), float(value), singles)
+    return GreedyTrace(selected, float(value), singles)
 
 
 def density_greedy(oracle, instance):

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_INT = frozenset({int})  # the one id type a tuple base may hold to be its own key
+_BOOLS = frozenset({bool, np.bool_})
+
+
 class BatchContractError(ValueError):
     """An adaptive round must contain at least one query."""
 
@@ -23,10 +27,15 @@ def as_id_array(ids):
     """Normalize a collection of element ids to a 1-D integer array.
 
     Non-integer ids (floats, booleans such as a mask) raise ``ValueError``
-    instead of being cast to other ids; an empty collection is always valid.
+    instead of being cast to other ids, also where numpy would cast a bool
+    among ints to an int; an empty collection is always valid.
     """
     if not isinstance(ids, np.ndarray):
-        ids = np.asarray(ids if isinstance(ids, (list, tuple)) else list(ids))
+        if not isinstance(ids, (list, tuple)):
+            ids = list(ids)
+        if _BOOLS.intersection(map(type, ids)):
+            raise ValueError("element ids must be integers, not bool")
+        ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ValueError("element ids must form a 1-D collection")
     if ids.dtype.kind not in "iu":
@@ -139,6 +148,13 @@ class CountingOracle:
     Since the objective is pure, the cache changes no answer and no charge:
     every base and every extension is charged as if evaluated afresh.
 
+    Tuple bases.  A base passed as a tuple of Python ints is used as its
+    own key, after a check of every id's type; any other base (a list, an
+    array, or a tuple holding numpy, float or bool ids) is converted with
+    :func:`as_id_array` first.  Callers that grow bases as tuples (the
+    sampler's sweeps, density greedy, prefix augmentation) skip that
+    conversion; answers, charges and errors are the same either way.
+
     Float and tie policy.  Extension queries are answered with the gains
     ``f(u | base)`` the objective returns; no base value is computed for
     them.  Gains steer every threshold test, stopping rule and argmax.
@@ -173,18 +189,20 @@ class CountingOracle:
             if arr.min() < 0 or arr.max() >= self.n:
                 raise ValueError("element id out of range for this ground set")
 
-    def _check_base(self, key, arr, checked):
-        """Raise ``ValueError`` unless the base ``key`` is a set of ids of
-        this ground set.  Only the last id of a key whose parent is known
-        (its state cached, or in ``checked``) is checked."""
+    def _check_base(self, key, checked):
+        """Raise ``ValueError`` unless the base ``key``, a tuple of Python
+        ints, is a set of ids of this ground set.  Only the last id of a key
+        whose parent is known (its state cached, or in ``checked``) is
+        checked."""
         parent = key[:-1]
         if key and (parent in self._states or parent in checked):
             if not 0 <= key[-1] < self.n:
                 raise ValueError("element id out of range for this ground set")
             if key[-1] in parent:
                 raise ValueError("a queried set repeats an element id")
-        else:
-            self._check_ids(arr)
+        elif key:
+            if min(key) < 0 or max(key) >= self.n:
+                raise ValueError("element id out of range for this ground set")
             if len(set(key)) != len(key):
                 raise ValueError("a queried set repeats an element id")
 
@@ -248,10 +266,15 @@ class CountingOracle:
         checked = set()
         last = object()  # the candidates of the previous group
         for base, candidates in groups:
-            base_arr = as_id_array(base)
-            key = tuple(base_arr.tolist())
+            # a tuple of Python ints is its own key; anything else (an
+            # array, a list, numpy or float ids) goes through as_id_array.
+            # Every id's type is checked, since (1.0, 2) == (1, 2) as a key
+            if type(base) is tuple and set(map(type, base)) <= _INT:
+                key = base
+            else:
+                key = tuple(as_id_array(base).tolist())
             if key not in self._states and key not in checked:
-                self._check_base(key, base_arr, checked)
+                self._check_base(key, checked)
                 checked.add(key)
             if candidates is not last:  # a sweep passes one list to every group
                 cand_arr = as_id_array(candidates)

@@ -102,6 +102,8 @@ def check_grid_params(alpha, epsilon, delta):
     """Raise ``ValueError`` unless (alpha, epsilon, delta) can shape a grid."""
     if not 0.0 < epsilon < 1.0 / 7.0:
         raise ValueError("epsilon must lie in (0, 1/7)")
+    if 1.0 - epsilon == 1.0:
+        raise ValueError("epsilon is too small: 1 - epsilon rounds to 1")
     if not 0.0 < delta < 1.0 / 8.0:
         raise ValueError("delta must lie in (0, 1/8)")
     if alpha <= 0.0:

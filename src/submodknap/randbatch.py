@@ -8,8 +8,8 @@ passes two stopping rules: the survivor pool must lose an epsilon fraction of
 its cost mass (mass rule), and the accepted prefix must not carry too much
 negative-marginal weight relative to the surviving gain (damage rule).  Each
 iteration costs exactly one adaptive round because all prefix marginals are
-queried together, though only the rows up to the accepted length are
-computed.
+queried together, though only the rows past the first, up to the accepted
+length, are computed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ class RandBatchParams:
 
     threshold:  density floor (marginal gain per unit cost) for survival.
     accept_cap: stop after this many damage-rule acceptances.
-    epsilon:    accuracy parameter shared by both stopping rules.
+    epsilon:    accuracy parameter shared by both stopping rules; in (0, 1),
+                and large enough that 1 - epsilon rounds below 1.
     """
 
     threshold: float
@@ -41,6 +42,8 @@ class RandBatchParams:
             raise ValueError("accept_cap must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if 1.0 - self.epsilon == 1.0:
+            raise ValueError("epsilon is too small: 1 - epsilon rounds to 1")
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,25 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     full when it is issued, all d + 1 rows, but a row is computed only when
     read: rows are read in order and reading stops at row t*, so rows past
     it cost nothing but their charge.
+
+    Row 0 is not read either.  Its base, the spent cost and the survivors
+    are those of the check that made the survivors: the filter for the
+    first sweep, the previous sweep's row t* (whose base is this row 0's,
+    and whose ``high`` mask picked the survivors) for later ones.  The
+    oracle gives the same gains bit for bit, so at t = 0 every survivor
+    still clears: the remaining mass is the pool cost, every gain is
+    positive (its density clears a positive floor), so no gain is
+    negative and the drawn element adds no damage.  Hence the mass rule
+    fires only if ``(1 - epsilon) * pool_cost`` rounds back to
+    ``pool_cost`` (a subnormal pool cost), and the damage rule only if
+    ``epsilon * surviving_gain`` underflows to 0.  Each sweep tests both
+    on numbers in hand, with ``surviving_gain`` summed over the previous
+    check's mask, and reads from t = 0 when either could fire.  That sum
+    and row 0's add the same positive gains in another order, and they
+    differ only when they are at least 2**-1021, where the product with
+    ``epsilon`` cannot underflow: every float below 2**-1021 is a
+    multiple of 2**-1074, so sums below it are exact, and ``1 - epsilon
+    < 1`` (which ``RandBatchParams`` requires) means ``epsilon > 2**-54``.
     """
     base = tuple(base)
     if bound is None:
@@ -146,37 +168,43 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     # initial survivor filter: one marginal batch over the live elements
     gains = oracle.marginal_batch(base, live)
     bound[live] = np.minimum(bound[live], gains)
-    survivors = live[_clears(gains, costs[live], 0.0, threshold, residual)].tolist()
+    high = _clears(gains, costs[live], 0.0, threshold, residual)
+    surviving_gain = np.where(high, gains, 0.0).sum()
+    survivors = live[high]
 
-    while survivors and count < params.accept_cap:
-        seq = get_seq(accepted, survivors, instance, instance.budget - residual, rng)
+    while survivors.size and count < params.accept_cap:
+        ids = survivors.tolist()
+        seq = get_seq(accepted, ids, instance, instance.budget - residual, rng)
         d = len(seq)
         if d == 0:
             # unreachable in exact arithmetic (every survivor fits alone);
             # at the budget boundary rounding can leave survivors that no
             # canonical cost sum admits, so they are dropped
-            survivors = []
+            survivors = survivors[:0]
             break
-        seq_costs = costs[np.asarray(seq, dtype=np.intp)]
-        prefix_costs = np.concatenate([[0.0], np.cumsum(seq_costs)])
+        prefix_costs = np.concatenate([[0.0], np.cumsum(costs[seq])])
 
         # marginals of every survivor against every prefix, charged as one
-        # round; row t is computed only when read
-        groups = [
-            (base + tuple(accepted) + tuple(seq[:i]), survivors)
-            for i in range(d + 1)
-        ]
+        # round; row t is computed only when read.  Bases are tuples of
+        # ints, the oracle's own keys
+        key = base + tuple(accepted)
+        groups = [(key, survivors)]
+        for e in seq:
+            key += (e,)
+            groups.append((key, survivors))
         rows = oracle.evaluate_extensions(groups)
 
-        surv_arr = np.asarray(survivors, dtype=np.intp)
-        surv_costs = costs[surv_arr]
-        surv_index = {e: j for j, e in enumerate(survivors)}
+        surv_costs = costs[survivors]
+        surv_index = {e: j for j, e in enumerate(ids)}
         pool_cost = float(surv_costs.sum())
 
         # t* is the first prefix length t at which the mass rule (t1) or the
-        # damage rule (t2) fires, or d; rows are read in order up to it
+        # damage rule (t2) fires, or d; rows are read in order up to it.
+        # Row 0 repeats the check that made these survivors, so neither
+        # rule can fire there unless rounding makes it (see the docstring)
+        row_0_inert = (1.0 - epsilon) * pool_cost < pool_cost and epsilon * surviving_gain > 0.0
         damage_prefix = 0.0  # negative marginals of the drawn elements so far
-        for t in range(d + 1):
+        for t in range(1 if row_0_inert else 0, d + 1):
             gains = rows[t]
             # survivors after prefix t: still worth taking once it is accepted
             high = _clears(gains, surv_costs, accepted_cost + prefix_costs[t], threshold, residual)
@@ -194,7 +222,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
                 damage_prefix += -step_gain
         t_star = t
         # rows past t_star extend the base with elements left unaccepted
-        bound[surv_arr] = np.minimum(bound[surv_arr], gains)
+        bound[survivors] = np.minimum(bound[survivors], gains)
 
         accepted.extend(seq[:t_star])
         accepted_cost += float(prefix_costs[t_star])
@@ -203,6 +231,6 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
 
         # the survivors past the extended accepted set are row t_star; the
         # elements just accepted gain exactly 0 there, so they drop out
-        survivors = [e for e, ok in zip(survivors, high) if ok]
+        survivors = survivors[high]
 
-    return RandBatchOutput(tuple(accepted), tuple(survivors), count)
+    return RandBatchOutput(tuple(accepted), tuple(survivors.tolist()), count)

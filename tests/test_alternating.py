@@ -21,6 +21,8 @@ from submodknap import (
     similarity_from_features,
     split_ground,
 )
+from submodknap.alternating import threshold_loop
+from submodknap.estimator import gamma_and_guesses
 from conftest import naive_augment_prefixes
 
 
@@ -251,6 +253,42 @@ class TestConfigValidation:
             AstConfig(alpha=0.0)
         with pytest.raises(ValueError):
             AstConfig(estimator="nope")
+        # 1 - epsilon rounds to 1: the grid's ratio of logs would divide by 0
+        for epsilon in (1e-17, 2.0**-54):
+            with pytest.raises(ValueError, match="too small"):
+                AstConfig(epsilon=epsilon)
+        assert AstConfig(epsilon=2.0**-53).epsilon == 2.0**-53
+
+
+class TestThresholdLoop:
+    @pytest.mark.parametrize("kind", ["cut", "signed_image_summ"])
+    def test_list_tuple_and_array_pools_give_the_same_run(self, kind):
+        objective, costs = _differential_case(kind, np.random.default_rng(4))
+        instance = KnapsackInstance(costs, 0.3 * float(costs.sum()))
+        config = AstConfig(seed=2)
+        estimate = ESTIMATORS["greedy"](CountingOracle(objective), instance)
+        grid = gamma_and_guesses(
+            estimate.value, instance.budget,
+            alpha=config.alpha, epsilon=config.epsilon, delta=config.delta,
+        )
+        _, rest = split_ground(instance, config.epsilon)
+        pools = [
+            list(rest), tuple(rest), np.array(rest, dtype=np.intp), np.array(rest, dtype=np.int32)
+        ]
+        runs = []
+        for pool in pools:
+            kept = np.array(pool, copy=True)
+            oracle = CountingOracle(objective)
+            out = threshold_loop(
+                oracle, instance, pool, grid, config, np.random.default_rng(config.seed),
+                estimate.singleton_gains,
+            )
+            assert np.array_equal(np.asarray(pool), kept)  # the caller's pool is left alone
+            # ids stay Python ints, so the sweeps' bases are the oracle's own keys
+            assert all(type(e) is int for e in out[0] + out[1])
+            runs.append((out, oracle.ledger.snapshot()))
+        assert all(run == runs[0] for run in runs)
+        assert runs[0][0][0] and runs[0][0][1]
 
 
 def run_small(objective, instance, seed=0, **kwargs):

@@ -42,6 +42,10 @@ class TestAsIdArray:
             as_id_array([True, False])
         with pytest.raises(ValueError, match="integers"):
             as_id_array(np.array([True, False, True]))
+        # among ints numpy would cast these to the ints 1 and 0
+        for ids in ([3, True, 5], (3, np.True_), [np.False_, 2]):
+            with pytest.raises(ValueError, match="integers"):
+                as_id_array(ids)
 
     def test_not_one_dimensional_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
@@ -226,6 +230,67 @@ class TestRepeatedIds:
         oracle = make_modular_oracle()
         assert oracle.marginal_batch((0,), [1, 1, 0]).tolist() == [2.0, 2.0, 0.0]
         assert oracle.ledger.snapshot() == (4, 1)
+
+
+class TestTupleBases:
+    """A tuple of Python ints is its own cache key, with no conversion;
+    every other base goes through ``as_id_array``.  Either way the ids are
+    checked the same, and a rejected call charges nothing."""
+
+    @staticmethod
+    def _cached_oracle():
+        # caches the gain state of (3, 1, 5): its gains are read
+        oracle = CountingOracle(CutObjective(gen_erdos_renyi(20, 0.3, seed=1)))
+        oracle.marginal_batch((3, 1, 5), [0])
+        assert (3, 1, 5) in oracle._states
+        return oracle
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            # a non-int id compares equal to an int one, so the tuple's
+            # parent matches the cached (3, 1, 5) as a dict key
+            ((3.0, 1, 5, 7), "integers"),
+            ((3, 1.0, 5, 7), "integers"),
+            ((3, 1, 5, 7.0), "integers"),
+            ((3, np.float64(1.0), 5, 7), "integers"),
+            ((3, 1, np.float64(5.0), 7), "integers"),
+            ((3, True, 5, 7), "integers"),
+            ((3, np.True_, 5, 7), "integers"),
+            ((3, 1, 5, True), "integers"),
+            ((3, 1, 5, 20), "range"),
+            ((3, 1, 5, -1), "range"),
+            ((3, 1, 5, 1), "repeats"),
+            ((3, 1, 5, 3), "repeats"),
+        ],
+    )
+    def test_ids_are_checked_when_the_parent_is_cached(self, base, message):
+        oracle = self._cached_oracle()
+        before = oracle.ledger.snapshot()
+        for call in (
+            lambda: oracle.evaluate_extensions([(base, [0, 2])]),
+            lambda: oracle.marginal_batch(base, [0]),
+            lambda: oracle.evaluate(base),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+            assert oracle.ledger.snapshot() == before
+        # the parent checked earlier in the same call, not cached
+        fresh = CountingOracle(oracle.objective)
+        with pytest.raises(ValueError, match=message):
+            fresh.evaluate_extensions([((3, 1, 5), [0]), (base, [0])])
+        assert fresh.ledger.snapshot() == (0, 0)
+
+    def test_numpy_ints_give_the_same_answers(self):
+        oracle, reference = self._cached_oracle(), self._cached_oracle()
+        cands = [0, 2, 7, 3]
+        for base in ((3, 1, 5, 7), (3, 1, 5), (3, 1), (8, 9, 2, 4)):
+            for pos in range(len(base)):
+                mixed = base[:pos] + (np.int64(base[pos]),) + base[pos + 1:]
+                got = oracle.marginal_batch(mixed, cands)
+                assert got.tobytes() == reference.marginal_batch(base, cands).tobytes()
+            assert oracle.evaluate(tuple(np.array(base))) == reference.evaluate(base)
+        assert oracle.ledger.snapshot() == reference.ledger.snapshot()
 
 
 class TestFeasibility:

@@ -143,6 +143,8 @@ class TestGuessGrid:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gamma_and_guesses(1.0, 1.0, epsilon=0.2)
+        with pytest.raises(ValueError, match="too small"):
+            gamma_and_guesses(1.0, 1.0, epsilon=1e-17)  # 1 - epsilon == 1.0
         with pytest.raises(ValueError):
             gamma_and_guesses(1.0, 1.0, delta=0.2)
         with pytest.raises(ValueError, match="trivial"):

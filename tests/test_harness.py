@@ -318,6 +318,7 @@ class TestCli:
         [
             (["run", "--trials", "0"], "trials must be at least 1"),
             (["run", "--epsilon", "0.5"], "epsilon must lie in"),
+            (["run", "--epsilon", "1e-17"], "epsilon is too small"),
             (["run", "--budget-fracs", "1.5"], "budget fractions must lie in"),
             (["sweep", "--trials", "0"], "trials must be at least 1"),
             (["sweep", "--algorithms", "nope"], "unknown algorithm: 'nope'"),

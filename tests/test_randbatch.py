@@ -25,6 +25,12 @@ class TestParams:
             RandBatchParams(threshold=1.0, accept_cap=0)
         with pytest.raises(ValueError):
             RandBatchParams(threshold=1.0, accept_cap=5, epsilon=1.0)
+        # with 1 - epsilon == 1.0 the mass rule fires on every sweep's row 0
+        # and the sampler never accepts, never counts and never returns
+        for epsilon in (1e-17, 2.0**-54):
+            with pytest.raises(ValueError, match="too small"):
+                RandBatchParams(threshold=0.5, accept_cap=5, epsilon=epsilon)
+        assert RandBatchParams(threshold=0.5, accept_cap=5, epsilon=2.0**-53).epsilon > 0.0
 
 
 class TestGetSeq:
@@ -344,3 +350,101 @@ def test_sweep_read_to_t_star_matches_the_frozen_copy(kind):
         assert outs[0] == outs[1]
         accepted += len(outs[0][0])
     assert accepted > 40
+
+
+class _RowLog:
+    """An objective that records the base of every gains call it answers,
+    and stops the run (``_Stop``) after ``limit`` of them."""
+
+    def __init__(self, objective, limit=None):
+        self.objective = objective
+        self.n = objective.n
+        self.submodular = getattr(objective, "submodular", False)
+        self.limit = limit
+        self.bases = []
+
+    def __call__(self, ids):
+        return self.objective(ids)
+
+    def state(self, base):
+        return tuple(base.tolist()), self.objective.state(base)
+
+    def extend(self, state, e):
+        return state[0] + (int(e),), self.objective.extend(state[1], e)
+
+    def gains(self, state, candidates):
+        if len(self.bases) == self.limit:
+            raise _Stop
+        self.bases.append(state[0])
+        return self.objective.gains(state[1], candidates)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["cut", "signed_image_summ"])
+def test_no_sweep_reads_row_0(kind):
+    # a sweep's row 0 has the base, spent cost and survivors of the check
+    # that made those survivors (the filter, or the previous sweep's row
+    # t*), so no rule can fire there and it is never read: the rows read
+    # are the filter's and then one per accepted element, past the accepted
+    # prefix up to and including it
+    rng = np.random.default_rng(12)
+    n = 20
+    if kind == "cut":
+        objective = CutObjective(gen_erdos_renyi(n, 0.4, seed=13))
+    else:
+        objective = submodknap.ImageSummaryObjective(similarity_from_features(rng.normal(size=(n, 6))))
+    costs = 0.1 + rng.random(n)
+    dens = np.array([objective([e]) for e in range(n)]) / costs
+    sweeps = 0
+    for seed in range(40):
+        log = _RowLog(objective)
+        oracle = CountingOracle(log)
+        instance = KnapsackInstance(costs, (0.1 + 0.1 * (seed % 5)) * float(costs.sum()))
+        params = RandBatchParams(
+            threshold=(0.05 + 0.1 * (seed % 7)) * float(dens.max()), accept_cap=1 + seed % 3
+        )
+        out = rand_batch(oracle, tuple(range(n)), params, instance, np.random.default_rng(seed))
+        assert log.bases == [out.accepted[:j] for j in range(len(out.accepted) + 1)]
+        sweeps += oracle.ledger.adaptive_rounds - 1
+    assert sweeps > 40
+
+
+def test_row_0_is_read_when_its_damage_rule_underflows():
+    # four gains of the least subnormal: 0.1 times their sum rounds to 0,
+    # so the damage rule fires at t = 0 on every sweep, as in the frozen
+    # copy, which reads every row
+    from test_lazy_filter import baseline
+
+    outs, logs = [], []
+    for package in (submodknap, baseline):
+        logs.append(_RowLog(package.ModularObjective(np.full(4, 5e-324))))
+        out = package.rand_batch(
+            package.CountingOracle(logs[-1]),
+            tuple(range(4)),
+            package.RandBatchParams(threshold=5e-324, accept_cap=3),
+            package.KnapsackInstance(np.ones(4), 10.0),
+            np.random.default_rng(0),
+        )
+        outs.append((out.accepted, out.surviving, out.damage_count))
+    assert outs[0] == outs[1] == ((), (0, 1, 2, 3), 3)
+    assert logs[0].bases == [(), (), (), ()]  # the filter, then row 0 of three sweeps
+
+
+def test_row_0_is_read_when_the_pool_cost_is_subnormal():
+    # two costs of the least subnormal: 0.9 times their sum rounds back to
+    # it, so the mass rule fires at t = 0 on every sweep.  The sweep reads
+    # row 0 as the full computation would; that accepts nothing and counts
+    # nothing, so the sampler never returns, and the log stops it
+    log = _RowLog(ModularObjective(np.full(2, 1e-300)), limit=4)
+    with pytest.raises(_Stop):
+        rand_batch(
+            CountingOracle(log),
+            (0, 1),
+            RandBatchParams(threshold=1.0, accept_cap=1),
+            KnapsackInstance(np.full(2, 5e-324), 1.0),
+            np.random.default_rng(0),
+        )
+    assert log.bases == [(), (), (), ()]
