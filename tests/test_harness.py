@@ -318,12 +318,12 @@ class TestCli:
         [
             (["run", "--trials", "0"], "trials must be at least 1"),
             (["run", "--epsilon", "0.5"], "epsilon must lie in"),
-            (["run", "--epsilon", "1e-17"], "epsilon is too small"),
             (["run", "--budget-fracs", "1.5"], "budget fractions must lie in"),
             (["sweep", "--trials", "0"], "trials must be at least 1"),
             (["sweep", "--algorithms", "nope"], "unknown algorithm: 'nope'"),
             (["sweep", "--algorithms", "ast,nope"], "unknown algorithm: 'nope'"),
             (["sweep", "--objective", "cut", "--features", "f.csv"], "--features"),
+            (["run", "--epsilon", "1e-17"], "epsilon is too small"),
         ],
     )
     def test_bad_spec_is_a_usage_error_before_any_solve(self, monkeypatch, capsys, argv, message):
