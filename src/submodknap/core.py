@@ -49,6 +49,12 @@ def as_id_array(ids):
 class KnapsackInstance:
     """Ground set of ``n`` elements with positive costs and a budget.
 
+    Every cost and the budget must be a normal float (at least
+    ``np.finfo(float).tiny``), and the costs' sum must be finite: the
+    sampler's mass rule compares a pool's cost with ``1 - epsilon`` times
+    it, and a subnormal or infinite cost can come back unchanged, so that
+    no sweep ever ends.
+
     The cost function is modular: the cost of a set is the sum of its element
     costs, accumulated in ascending-id order so feasibility checks are
     reproducible.  Feasibility is inclusive (total cost may equal the budget).
@@ -63,10 +69,12 @@ class KnapsackInstance:
         costs = np.asarray(self.costs, dtype=np.float64)
         if costs.ndim != 1 or costs.size == 0:
             raise ValueError("costs must be a non-empty 1-D array")
-        if not np.all(np.isfinite(costs)) or np.any(costs <= 0.0):
-            raise ValueError("every element cost must be positive and finite")
-        if not (np.isfinite(self.budget) and self.budget > 0):
-            raise ValueError("budget must be positive and finite")
+        with np.errstate(over="ignore"):  # an inf sum is rejected, not warned about
+            finite = np.isfinite(costs.sum())
+        if not finite or np.any(costs < np.finfo(float).tiny):
+            raise ValueError("costs must be at least np.finfo(float).tiny, with a finite sum")
+        if not (np.isfinite(self.budget) and self.budget >= np.finfo(float).tiny):
+            raise ValueError("budget must be finite and at least np.finfo(float).tiny")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "budget", float(self.budget))
 
@@ -117,18 +125,11 @@ class QueryLedger:
 class CountingOracle:
     """Counted access to a non-negative normalized set function.
 
-    The wrapped objective must be a pure function of the queried set: the same
-    set always yields the same value regardless of query history, and
-    ``f(empty) = 0``.  It offers ``n`` (the ground-set size), ``__call__(ids)``
-    (``f(ids)`` from scratch, whatever the order of ``ids``) and a gain state
-    per base: ``state(base)`` builds it from scratch, ``extend(state, e)``
-    returns the state of ``base + (e,)`` and leaves ``state`` as it was, and
-    ``gains(state, candidates)`` returns every ``f(u | base)`` at once,
-    exactly ``0.0`` for a candidate inside ``base``.  A state extended id by
-    id gives the same gains, bit for bit, as ``state`` of the same sequence,
-    and ``gains(state, candidates[pos])`` is bit for bit
-    ``gains(state, candidates)[pos]``.  The objectives in
-    :mod:`submodknap.objectives` all do this.
+    The wrapped objective offers ``n``, ``__call__``, ``state()``,
+    ``extend`` and ``gains`` and may offer ``submodular``, as the objective
+    contract in :mod:`submodknap.objectives` sets out; every objective there
+    does.  The oracle builds every base's gain state by extension from the
+    empty state.
 
     Charged when asked, computed when read.  A round is checked and charged
     in full when it is issued, as if every answer were computed then; the
@@ -144,7 +145,8 @@ class CountingOracle:
     base whose state is cached is not checked again.  A new base whose parent
     (the base minus its last id) has a cached state, or was checked earlier
     in the same call, checks only its last id; its state extends the
-    parent's by that id when the parent's is cached at the time it is read.
+    parent's by that id when the parent's is cached at the time it is read,
+    and otherwise extends the empty state by every id of the base in turn.
     Since the objective is pure, the cache changes no answer and no charge:
     every base and every extension is charged as if evaluated afresh.
 
@@ -208,16 +210,16 @@ class CountingOracle:
 
     def _state(self, key):
         """The gain state of a checked base, extended from its parent's when
-        that is cached, as the most recently used entry; past
-        ``CACHE_SIZE`` entries the least recently used goes."""
+        that is cached and from the empty state otherwise, as the most
+        recently used entry; past ``CACHE_SIZE`` entries the least recently
+        used goes."""
         states = self._states
         state = states.pop(key, None)
         if state is None:
             parent = states.get(key[:-1]) if key else None
-            if parent is None:
-                state = self.objective.state(np.array(key, dtype=np.intp))
-            else:
-                state = self.objective.extend(parent, key[-1])
+            state, ids = (self.objective.state(), key) if parent is None else (parent, key[-1:])
+            for e in ids:
+                state = self.objective.extend(state, e)
             if len(states) >= self.CACHE_SIZE:
                 del states[next(iter(states))]
         states[key] = state

@@ -11,18 +11,18 @@ which case it is in with its ``submodular`` flag.  Objective classes
 precompute adjacency structure once and are immutable afterwards, so
 concurrent read-only evaluation is safe.
 
-Every objective offers the interface :class:`~submodknap.core.CountingOracle`
-relies on:
+The objective contract.  Every objective offers what
+:class:`~submodknap.core.CountingOracle` relies on, and any object that
+offers it can be solved:
 
 - ``n``: the ground-set size;
 - ``__call__(ids)``: ``f(ids)`` from scratch; ids are sorted internally, so
-  the value does not depend on insertion order;
-- ``state(base)``: the gain state of a base (``base`` repeats no id), built
-  from scratch;
-- ``extend(state, e)``: the state of ``base + (e,)`` for an id ``e`` outside
-  ``base``; ``state`` itself is left unchanged.  States extended id by id
-  give gains bit-identical to ``state`` of the same sequence: cut and
-  revenue add edge weight in base order, image summary keeps a running max;
+  the value does not depend on insertion order.  ``f`` is a pure function
+  of the set, with ``f(empty) = 0``;
+- ``state()``: the gain state of the empty base.  Every other state is
+  built from it by ``extend``;
+- ``extend(state, e)``: the state of ``base + (e,)`` for an id ``e``
+  outside ``base``; ``state`` itself is left unchanged;
 - ``gains(state, candidates)``: the marginal gains ``f(u | base)`` of every
   candidate in one vectorized pass, exactly ``0.0`` for a candidate already
   in ``base`` (candidates may repeat).  Each candidate's gain is computed
@@ -233,16 +233,8 @@ class _GraphObjective:
         """Cut and revenue are submodular on any non-negative weights."""
         return True
 
-    def _weight_to(self, ids):
-        """Total edge weight from ``ids`` to every node, summed in the order
-        of ``ids`` (float zeros for no ids)."""
-        pos = _row_block_positions(self._indptr, ids)
-        weights = np.bincount(self._indices[pos], weights=self._data[pos], minlength=self.n)
-        return weights.astype(np.float64, copy=False)
-
-    def state(self, base):
-        base = as_id_array(base)
-        return self._weight_to(base), _members(self.n, base)
+    def state(self):
+        return np.zeros(self.n), np.zeros(self.n, dtype=bool)
 
     def extend(self, state, e):
         weight_to, inside = state
@@ -284,8 +276,9 @@ class RevenueObjective(_GraphObjective):
         ids = np.sort(as_id_array(ids))
         if ids.size == 0:
             return 0.0
-        inside = _members(self.n, ids)
-        return float(np.sqrt(self._weight_to(ids)[~inside]).sum())
+        pos = _row_block_positions(self._indptr, ids)
+        weight_to = np.bincount(self._indices[pos], weights=self._data[pos], minlength=self.n)
+        return float(np.sqrt(weight_to[~_members(self.n, ids)]).sum())
 
     def gains(self, state, candidates):
         """Each outside neighbour v of u gains ``sqrt(I(v) + w(u, v)) -
@@ -328,10 +321,8 @@ class ImageSummaryObjective:
         cols = self._sim[:, ids]
         return float(cols.max(axis=1).sum() - cols.sum() / self.n)
 
-    def state(self, base):
-        base = as_id_array(base)
-        cur = self._sim[base].max(axis=0) if base.size else None
-        return cur, _members(self.n, base)
+    def state(self):
+        return None, np.zeros(self.n, dtype=bool)
 
     def extend(self, state, e):
         cur, inside = state
@@ -374,9 +365,9 @@ class ModularObjective:
             return 0.0
         return float(self.values[ids].sum())
 
-    def state(self, base):
+    def state(self):
         """The gain state of a base is its membership mask."""
-        return _members(self.n, as_id_array(base))
+        return np.zeros(self.n, dtype=bool)
 
     def extend(self, inside, e):
         return _with_member(inside, e)
@@ -406,10 +397,9 @@ class SumObjective:
         ids = as_id_array(ids)
         return float(sum(p(ids) for p in self.parts))
 
-    def state(self, base):
+    def state(self):
         """The gain state of a base is the tuple of the parts' states."""
-        base = as_id_array(base)
-        return tuple(p.state(base) for p in self.parts)
+        return tuple(p.state() for p in self.parts)
 
     def extend(self, state, e):
         return tuple(p.extend(s, e) for p, s in zip(self.parts, state))

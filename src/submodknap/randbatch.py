@@ -136,7 +136,8 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     positive (its density clears a positive floor), so no gain is
     negative and the drawn element adds no damage.  Hence the mass rule
     fires only if ``(1 - epsilon) * pool_cost`` rounds back to
-    ``pool_cost`` (a subnormal pool cost), and the damage rule only if
+    ``pool_cost`` (a subnormal pool cost, which ``KnapsackInstance``
+    rejects), and the damage rule only if
     ``epsilon * surviving_gain`` underflows to 0.  Each sweep tests both
     on numbers in hand, with ``surviving_gain`` summed over the previous
     check's mask, and reads from t = 0 when either could fire.  That sum

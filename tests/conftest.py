@@ -30,6 +30,15 @@ def unit_instance_3():
     return KnapsackInstance(np.ones(3), 2.0)
 
 
+def state_of(objective, base):
+    """The gain state of ``base``, as the oracle builds it: the empty
+    state, extended by each id of ``base`` in turn."""
+    state = objective.state()
+    for e in base:
+        state = objective.extend(state, int(e))
+    return state
+
+
 # ---------------------------------------------------------------------------
 # naive references: direct transcriptions of the defining formulas, kept
 # independent of the production evaluation paths

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodknap import (
+    AstConfig,
     BatchContractError,
     CountingOracle,
     CutObjective,
     KnapsackInstance,
     ModularObjective,
     as_id_array,
+    ast,
+    density_greedy,
     gen_erdos_renyi,
 )
 
@@ -362,3 +365,42 @@ def test_batch_sequential_equivalence_property(data):
     batched = CountingOracle(objective).evaluate_batch(sets)
     sequential = [CountingOracle(objective).evaluate(s) for s in sets]
     assert batched == sequential
+
+
+class _MinimalModular:
+    """A modular objective that offers only what the objective contract
+    asks for: ``n``, ``__call__``, ``state()``, ``extend`` and ``gains``."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.n = self.values.size
+
+    def __call__(self, ids):
+        return float(self.values[np.sort(as_id_array(ids))].sum())
+
+    def state(self):
+        return frozenset()
+
+    def extend(self, base, e):
+        return base | {int(e)}
+
+    def gains(self, base, candidates):
+        return np.array([0.0 if int(u) in base else self.values[u] for u in candidates])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_minimal_objective_solves_like_a_modular_one(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=30)
+    instance = KnapsackInstance(0.1 + rng.random(30), 4.0)
+    sets = [(), (3,), (7, 1, 20), tuple(range(30))]
+    answers = []
+    for objective in (_MinimalModular(values), ModularObjective(values)):
+        result = ast(CountingOracle(objective), instance, AstConfig(seed=seed))
+        answers.append((
+            result.solution,
+            result.value,
+            density_greedy(CountingOracle(objective), instance),
+            CountingOracle(objective).evaluate_batch(sets),
+        ))
+    assert answers[0] == answers[1]

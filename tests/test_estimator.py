@@ -26,8 +26,8 @@ class LookupObjective:
     def __call__(self, ids):
         return self.table[frozenset(int(e) for e in ids)]
 
-    def state(self, base):
-        return frozenset(int(e) for e in base)
+    def state(self):
+        return frozenset()
 
     def extend(self, base, e):
         return base | {int(e)}

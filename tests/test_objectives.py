@@ -22,7 +22,7 @@ from submodknap import (
     similarity_from_features,
 )
 from submodknap.randbatch import BOUND_SLACK
-from conftest import naive_cut, naive_image_summary, naive_revenue
+from conftest import naive_cut, naive_image_summary, naive_revenue, state_of
 
 
 class TestRevenue:
@@ -383,7 +383,7 @@ GAIN_KINDS = ("cut", "revenue", "image_summ", "modular", "sum")
 def _check_gains(objective, naive, base, cands):
     """``gains`` against naive differences: within 1e-9 outside the base,
     exactly 0.0 inside it."""
-    state = objective.state(np.asarray(base, dtype=np.intp))
+    state = state_of(objective, base)
     gains = objective.gains(state, np.asarray(cands, dtype=np.intp))
     assert gains.dtype == np.float64 and gains.shape == (len(cands),)
     before = naive(base)
@@ -435,8 +435,8 @@ class TestGains:
         base = np.asarray(ids[:base_size], dtype=np.intp)
         grown = np.asarray(ids[:grown_size], dtype=np.intp)
         cands = np.asarray(ids[grown_size:], dtype=np.intp)
-        before = objective.gains(objective.state(base), cands)
-        after = objective.gains(objective.state(grown), cands)
+        before = objective.gains(state_of(objective, base), cands)
+        after = objective.gains(state_of(objective, grown), cands)
         assert np.all(after <= before + BOUND_SLACK * np.maximum(1.0, np.abs(before)))
 
     def test_signed_image_summ_gain_can_rise(self):
@@ -444,8 +444,8 @@ class TestGains:
         # counts it, but past {v} the coverage term clips it at 0
         matrix = SimilarityMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
         objective = ImageSummaryObjective(matrix)
-        alone = objective.gains(objective.state(np.array([], dtype=np.intp)), np.array([1]))
-        past_0 = objective.gains(objective.state(np.array([0])), np.array([1]))
+        alone = objective.gains(objective.state(), np.array([1]))
+        past_0 = objective.gains(state_of(objective, [0]), np.array([1]))
         assert alone.tolist() == [0.25] and past_0.tolist() == [1.25]
 
     @pytest.mark.parametrize("kind", GAIN_KINDS)
@@ -458,13 +458,13 @@ class TestGains:
         objective, naive = _objective_and_naive(kind, 9, seed=22)
         base = [4, 0, 7]
         _check_gains(objective, naive, base, [7, 1, 0, 4, 2])
-        state = objective.state(np.array(base))
+        state = state_of(objective, base)
         assert objective.gains(state, np.array(base)).tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("kind", GAIN_KINDS)
     def test_repeated_candidates_gain_alike(self, kind):
         objective, naive = _objective_and_naive(kind, 9, seed=23)
-        gains = objective.gains(objective.state(np.array([2, 5])), np.array([3, 3, 8, 3, 8]))
+        gains = objective.gains(state_of(objective, [2, 5]), np.array([3, 3, 8, 3, 8]))
         assert gains[0] == gains[1] == gains[3] and gains[2] == gains[4]
         _check_gains(objective, naive, [2, 5], [3, 3, 8, 3, 8])
 
@@ -477,5 +477,5 @@ class TestGains:
     def test_no_candidates(self):
         for kind in GAIN_KINDS:
             objective, _ = _objective_and_naive(kind, 5, seed=25)
-            gains = objective.gains(objective.state(np.array([1])), np.empty(0, dtype=np.intp))
+            gains = objective.gains(state_of(objective, [1]), np.empty(0, dtype=np.intp))
             assert gains.shape == (0,) and gains.dtype == np.float64

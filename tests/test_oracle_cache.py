@@ -16,16 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodknap import (
+    AstConfig,
     CountingOracle,
     CutObjective,
     ImageSummaryObjective,
+    KnapsackInstance,
     ModularObjective,
     RevenueObjective,
     SumObjective,
+    ast,
     gen_erdos_renyi,
+    harness,
     similarity_from_features,
 )
 from submodknap.core import ExtensionGains
+
+from conftest import state_of
 
 KINDS = ("cut", "revenue", "image_summ", "modular", "sum")
 
@@ -128,22 +134,9 @@ def test_answers_and_charges_match_fresh_oracles(kind, n, seed, data):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_extended_states_give_the_same_gains(kind):
-    objective = _objective(kind, 12, seed=31)
-    cands = np.arange(12)
-    for seed in range(4):
-        order = np.random.default_rng(seed).permutation(12).tolist()
-        state = objective.state(())
-        for i, e in enumerate(order, start=1):
-            state = objective.extend(state, e)
-            direct = objective.state(np.asarray(order[:i]))
-            assert _bits(objective.gains(state, cands)) == _bits(objective.gains(direct, cands))
-
-
-@pytest.mark.parametrize("kind", KINDS)
 def test_extend_leaves_the_parent_state_alone(kind):
     objective = _objective(kind, 8, seed=32)
-    parent = objective.state([2, 5])
+    parent = state_of(objective, [2, 5])
     before = _bits(objective.gains(parent, np.arange(8)))
     objective.extend(parent, 0)
     assert _bits(objective.gains(parent, np.arange(8))) == before
@@ -167,33 +160,35 @@ def test_cache_stays_within_its_bound():
     assert oracle.ledger.snapshot() == (calls * 11 * 31, calls)
 
 
-class _Counting(CutObjective):
-    """Counts the calls the oracle makes into the objective."""
+class _Counting:
+    """The wrapped objective, counting the calls the oracle makes into it."""
 
-    def __init__(self, graph):
-        super().__init__(graph)
+    def __init__(self, objective):
+        self._objective = objective
+        self.n = objective.n
+        self.submodular = objective.submodular
         self.counts = {"call": 0, "state": 0, "extend": 0}
         self.read = []  # the number of candidates of each gains call
 
     def __call__(self, ids):
         self.counts["call"] += 1
-        return super().__call__(ids)
+        return self._objective(ids)
 
-    def state(self, base):
+    def state(self):
         self.counts["state"] += 1
-        return super().state(base)
+        return self._objective.state()
 
     def extend(self, state, e):
         self.counts["extend"] += 1
-        return super().extend(state, e)
+        return self._objective.extend(state, e)
 
     def gains(self, state, candidates):
         self.read.append(len(candidates))
-        return super().gains(state, candidates)
+        return self._objective.gains(state, candidates)
 
 
 def test_repeated_bases_are_evaluated_once_and_prefixes_extended():
-    objective = _Counting(gen_erdos_renyi(20, 0.3, seed=3))
+    objective = _Counting(CutObjective(gen_erdos_renyi(20, 0.3, seed=3)))
     oracle = CountingOracle(objective)
     sweep = [((4, 9, 1)[:i], (0, 2, 2)) for i in range(4)]
     first = _bits(oracle.evaluate_extensions(sweep))
@@ -216,7 +211,7 @@ def test_gains_of_a_subset_are_those_entries_of_the_whole(kind, n, seed, data):
     # and may lie inside the base
     objective = _objective(kind, n, seed)
     base = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
-    state = objective.state(np.asarray(base, dtype=np.intp))
+    state = state_of(objective, base)
     cands = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
     pos = np.asarray(
         data.draw(st.lists(st.integers(0, cands.size - 1), max_size=cands.size)), dtype=np.intp
@@ -233,7 +228,7 @@ def test_gains_of_a_subset_match_on_long_rows(kind):
     n = 300
     objective = _objective(kind, n, seed=39)
     rng = np.random.default_rng(40)
-    state = objective.state(rng.permutation(n)[:30])
+    state = state_of(objective, rng.permutation(n)[:30])
     cands = rng.integers(0, n, size=2 * n)
     whole = objective.gains(state, cands)
     for size in (1, 7, 150):
@@ -273,7 +268,7 @@ def test_rows_read_in_any_order_or_in_part_match_a_fresh_oracle(kind):
 
 
 def test_a_round_nobody_reads_is_charged_in_full_and_computes_nothing():
-    objective = _Counting(gen_erdos_renyi(20, 0.3, seed=3))
+    objective = _Counting(CutObjective(gen_erdos_renyi(20, 0.3, seed=3)))
     oracle = CountingOracle(objective)
     groups = _sweep(20, seed=37, d=5)
     answers = oracle.evaluate_extensions(groups)
@@ -281,11 +276,12 @@ def test_a_round_nobody_reads_is_charged_in_full_and_computes_nothing():
     assert objective.counts == {"call": 0, "state": 0, "extend": 0}
     assert objective.read == []
     # rows 0..2 in order: one state, then each row extends the one before;
-    # a part read computes only the gains asked for
+    # row 4's parent is not cached, so its state extends a new empty state
+    # by its four ids; a part read computes only the gains asked for
     for i in range(3):
         answers[i]
     answers.read(4, [0, 3])
-    assert objective.counts == {"call": 0, "state": 2, "extend": 2}
+    assert objective.counts == {"call": 0, "state": 2, "extend": 6}
     assert objective.read == [40, 40, 40, 2]
     assert oracle.ledger.snapshot() == (6 * 41, 1)
 
@@ -298,3 +294,16 @@ def test_answers_keep_the_candidates_they_were_asked_for():
     want = _fresh(objective, "evaluate_extensions", ([((2,), np.arange(9))],))[0]
     cands[:] = 0  # the caller reuses its array before reading
     assert _bits(answers) == want
+
+
+@pytest.mark.parametrize("objective, n, p", [("cut", 200, 0.2), ("image_summ", 500, 0.0)])
+def test_a_solve_builds_one_state_and_extends_the_rest(objective, n, p):
+    # the benchmark's two instances: every non-empty base's state extends
+    # a cached parent's, so the empty state is built once per solve
+    spec = harness.ExperimentSpec("ast", objective, harness.GenerateSource(n, p, 0))
+    built, costs = harness.build_objective(spec)
+    instance = KnapsackInstance(costs, 0.1 * float(np.sort(costs).sum()))
+    for seed in (0, 1):
+        counted = _Counting(built)
+        ast(CountingOracle(counted), instance, AstConfig(seed=seed))
+        assert counted.counts["state"] == 1
