@@ -147,7 +147,8 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None):
     """Try every prefix of ``order`` with its best feasible extra element.
 
     All prefix extensions plus the full set itself are charged in one
-    adaptive round.  For each prefix the winning element is the feasible one
+    adaptive round; consecutive prefixes with the same candidates pass one
+    array, which the oracle checks once.  For each prefix the winning element is the feasible one
     (anywhere in the ground set, including inside the prefix, where it adds
     nothing) with the highest gain, ties to the lowest id.  The recorded
     value of the full set and of the best augmented prefix (the first of
@@ -164,11 +165,42 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None):
     reaches the larger of the two; nobody else can win.  On any other
     objective whole rows are read.  Each prefix's value is estimated back
     from the exact ``f(order)`` with the rows' gains of the next order
-    element, and only the augmented prefixes whose estimate comes within
-    ``BOUND_SLACK`` times the chain's magnitude of the best estimate get a
-    from-scratch value.  When budget-boundary rounding leaves a next order
-    element out of its prefix's candidates the chain is broken, and every
-    augmented prefix gets its from-scratch value.
+    element, and only the augmented prefixes whose estimate (that value
+    plus the row's best gain) comes within ``BOUND_SLACK`` times the chain's
+    magnitude of the best estimate get a from-scratch value.  When
+    budget-boundary rounding leaves a next order element out of its
+    prefix's candidates the chain is broken, and every augmented prefix
+    gets its from-scratch value.
+
+    Rows that cannot come within reach are ruled out before their argmax
+    is read, when the objective is ``submodular``, the chain is whole and
+    ``singleton_gains`` of ``order[0]`` is finite.  Let ``top`` be the
+    largest ``slackened`` singleton bound among the first prefix's
+    candidates, or 0.  A later prefix's candidates are the first's, less
+    the elements that stopped fitting (the running cost only grows), plus
+    prefix elements, which gain exactly 0; so ``top`` bounds every row's
+    best gain.  Summing forward from ``f({order[0]})``, as the estimator
+    read it, with the same gains of the next order elements also estimates
+    each prefix's value.  A row whose forward estimate plus ``top`` falls
+    below ``f(order) - margin`` is ruled out: it reads only the gain of its
+    next order element, which the chain needs, and takes ``top`` as its
+    best gain.  The last row is never ruled out, and its estimate is at
+    least ``f(order)``, so ``f(order)`` bounds the best estimate from below.
+
+    With ``L = len(order)`` the margin is ``BOUND_SLACK`` times
+    ``max(1, 2|f(order)| + |f({order[0]})| + 2 L top)``.  The chain's
+    positive gains sum to at most ``(L - 1) top`` and its negative ones to
+    that sum less ``f(order) - f({order[0]})``, so the margin is at least
+    the final slack whenever the chain's gains add up to that difference
+    within ``top``.  A ruled-out row then stays out of reach unless its
+    forward and backward estimates differ by nearly the margin, far more
+    than rounding makes.  Should one come back into reach anyway, every
+    ruled-out row is read whole and the reach recomputed, which is the
+    computation without rule-outs.  Otherwise the result is that
+    computation's too: taking ``top`` raises a ruled-out row's estimate and
+    the slack and leaves the best estimate a row that was read, so every
+    row the plain test reaches is still reached, and its own argument says
+    that no other row can win.
 
     Returns ``(value_of_full_set, (augmented_ids, value))``, the second
     ``None`` for an empty ``order``.
@@ -177,54 +209,68 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None):
     costs = instance.costs
     budget = instance.budget
     groups = [(order, ())]
+    nexts = []  # the next order element's position among each row's candidates, or None
     in_prefix = np.zeros(instance.n, dtype=bool)
     prefix_cost = 0.0
     for i, e in enumerate(order, start=1):
         in_prefix[e] = True
         prefix_cost += costs[e]
         fits = np.nonzero((costs + prefix_cost <= budget) | in_prefix)[0]
+        if nexts and nexts[-1] is not None and fits.size == groups[-1][1].size:
+            # e was a candidate of the row before, so that row's candidates
+            # include these; as many means the same, passed as one array
+            # that the oracle checks once
+            fits = groups[-1][1]
         groups.append((order[:i], fits))
+        nexts.append(_position(fits, order[i]) if i < len(order) else None)
     rows = oracle.evaluate_extensions(groups)
     full_value = oracle.exact_value(order)
     if not order:
         return full_value, None
+    whole = None not in nexts[:-1]
 
+    bound = None
+    fwd, top, floor = math.inf, 0.0, -math.inf  # rules out no row
     if getattr(oracle.objective, "submodular", False):
         bound = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains.copy()
-    else:
-        bound = None
-    augmented, best_gains, steps = [], [], []
-    for i, (prefix, cands) in enumerate(groups[1:], start=1):
-        # the next order element's position among the candidates, or None
-        nxt = None
-        if i < len(order):
-            pos = int(np.searchsorted(cands, order[i]))
-            if pos < cands.size and cands[pos] == order[i]:
-                nxt = pos
-        if bound is None:
-            gains = rows[i]
-            win = int(np.argmax(gains))
-            gain = gains[win]
-            step = None if nxt is None else gains[nxt]
+        bound[order[0]] = 0.0  # in every prefix, so it gains exactly 0
+        first = math.inf if singleton_gains is None else float(singleton_gains[order[0]])
+        if whole and math.isfinite(first):
+            fwd = first
+            top = max(0.0, slackened(bound[groups[1][1]]).max())
+            scale = 2.0 * abs(full_value) + abs(fwd) + 2.0 * len(order) * top
+            floor = full_value - BOUND_SLACK * max(1.0, scale)
+    augmented, best_gains, steps, ruled = [], [], [], []
+    for i, ((prefix, cands), nxt) in enumerate(zip(groups[1:], nexts), start=1):
+        if bound is not None:
+            bound[prefix[-1]] = 0.0  # it gains exactly 0 from here on
+        if nxt is not None and fwd + top < floor:
+            step = rows.read(i, np.array([nxt], dtype=np.intp))[0]
+            ruled.append(i - 1)
+            augmented.append(None)
+            best_gains.append(top)
         else:
-            win, gain, step = _lazy_row_argmax(rows, i, cands, bound, prefix[-1], nxt)
-        # a prefix's own elements always fit, so every prefix has a candidate
-        pick = int(cands[win])
-        augmented.append(prefix if pick in prefix else prefix + (pick,))
-        best_gains.append(gain)
+            if bound is None:
+                win, gain, step = _whole_row_argmax(rows, i, nxt)
+            else:
+                win, gain, step = _lazy_row_argmax(rows, i, cands, bound, nxt)
+            # a prefix's own elements always fit, so every row has a winner
+            augmented.append(_augmented(prefix, cands[win]))
+            best_gains.append(gain)
         steps.append(step)
+        if step is not None:
+            fwd += step
 
-    # f(order[:i]) = f(order[:i + 1]) - f(order[i] | order[:i]), back from
-    # the exact f(order); a next element missing from its row breaks it
-    if None in steps[:-1]:
+    if not whole:
         reach = range(len(order))
     else:
-        chain = np.array(steps[:-1], dtype=np.float64)
-        best_gains = np.array(best_gains, dtype=np.float64)
-        estimates = full_value - np.append(np.cumsum(chain[::-1])[::-1], 0.0) + best_gains
-        magnitude = abs(full_value) + np.abs(chain).sum() + np.abs(best_gains).max()
-        slack = BOUND_SLACK * max(1.0, magnitude)
-        reach = np.nonzero(estimates >= estimates.max() - slack)[0].tolist()
+        reach = _reach(full_value, steps[:-1], best_gains)
+        if not set(ruled).isdisjoint(reach):
+            for i in ruled:
+                prefix, cands = groups[i + 1]
+                win, best_gains[i], _ = _whole_row_argmax(rows, i + 1, None)
+                augmented[i] = _augmented(prefix, cands[win])
+            reach = _reach(full_value, steps[:-1], best_gains)
     best = None
     for i in reach:
         value = oracle.exact_value(augmented[i])
@@ -233,12 +279,42 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None):
     return full_value, best
 
 
-def _lazy_row_argmax(rows, i, cands, bound, joined, nxt):
+def _position(cands, e):
+    """The position of ``e`` in the sorted id array ``cands``, or None."""
+    pos = int(np.searchsorted(cands, e))
+    return pos if pos < cands.size and cands[pos] == e else None
+
+
+def _augmented(prefix, pick):
+    """``prefix`` with ``pick`` added; a prefix element adds nothing."""
+    pick = int(pick)
+    return prefix if pick in prefix else prefix + (pick,)
+
+
+def _reach(full_value, chain, best_gains):
+    """The rows of ``augment_prefixes`` whose estimate comes within the
+    slack of the best: f(order[:i]) = f(order[:i + 1]) - f(order[i] |
+    order[:i]), back from the exact f(order), plus the row's best gain."""
+    chain = np.array(chain, dtype=np.float64)
+    best_gains = np.array(best_gains, dtype=np.float64)
+    estimates = full_value - np.append(np.cumsum(chain[::-1])[::-1], 0.0) + best_gains
+    magnitude = abs(full_value) + np.abs(chain).sum() + np.abs(best_gains).max()
+    slack = BOUND_SLACK * max(1.0, magnitude)
+    return np.nonzero(estimates >= estimates.max() - slack)[0].tolist()
+
+
+def _whole_row_argmax(rows, i, nxt):
+    """``(winner position, its gain, gain at nxt or None)`` of row ``i``,
+    reading the whole row."""
+    gains = rows[i]
+    win = int(np.argmax(gains))
+    return win, gains[win], None if nxt is None else gains[nxt]
+
+
+def _lazy_row_argmax(rows, i, cands, bound, nxt):
     """``(winner position, its gain, gain at nxt or None)`` of row ``i`` of
     ``augment_prefixes``, reading only the gains the bounds cannot rule out
-    and lowering ``bound`` with every gain read.  ``joined`` is the element
-    that joined the prefix at this row."""
-    bound[joined] = 0.0  # its gain is exactly 0 from here on
+    and lowering ``bound`` with every gain read."""
     cand_bound = bound[cands]
     top = int(np.argmax(cand_bound))
     first = np.array([top] if nxt is None else [nxt, top], dtype=np.intp)

@@ -116,7 +116,9 @@ def gamma_and_guesses(estimate_value, budget, *, alpha=1.0 / 7.0, epsilon=0.1, d
     gamma scales the grid so that, whenever the estimate lies in
     ``[(1/8 - delta) * OPT, OPT]``, some grid density lands in the window the
     selection analysis needs.  The grid length and the sampler's acceptance
-    cap depend only on (alpha, epsilon, delta), not on the instance.
+    cap depend only on (alpha, epsilon, delta), not on the instance.  Raises
+    ``ValueError`` when gamma overflows or the grid's last threshold
+    underflows to 0, thresholds the sampler cannot use.
     """
     check_grid_params(alpha, epsilon, delta)
     if budget <= 0.0:
@@ -124,7 +126,13 @@ def gamma_and_guesses(estimate_value, budget, *, alpha=1.0 / 7.0, epsilon=0.1, d
     if estimate_value <= 0.0:
         raise ValueError("trivial instance: estimate value must be positive")
     gamma = 8.0 * alpha * estimate_value / ((1.0 - 8.0 * delta) * epsilon * budget)
+    if not math.isfinite(gamma):
+        raise ValueError("gamma overflows: the estimate is too large for the budget")
     ratio = 8.0 * alpha / (epsilon**2 * (1.0 - 8.0 * delta))
     num_thresholds = math.ceil(math.log(ratio) / math.log(1.0 / (1.0 - epsilon))) + 1
+    if gamma * (1.0 - epsilon) ** num_thresholds == 0.0:
+        raise ValueError(
+            "the last threshold underflows to 0: the estimate is too small for the budget"
+        )
     accept_cap = math.ceil((num_thresholds / 2.0 + 1.0) / epsilon**2)
     return GuessGrid(gamma, num_thresholds, accept_cap)

@@ -43,9 +43,12 @@ within rounding can go the other way.  Every value the solver reports (``X``,
 from ``__call__`` on the reported set, so it is the exact from-scratch
 number whichever path found the set.  ``augment_prefixes`` estimates each
 prefix's value from gains and calls ``__call__`` only on the sets whose
-estimate comes within a relative ``BOUND_SLACK`` of the best; the gain
-bounds allow the same slack.  Ties go to the lowest id among gains and to
-the earliest prefix among values.
+estimate comes within a relative ``BOUND_SLACK`` of the best.  It reads no
+argmax of a row whose estimate, bounded from the singleton gains, falls
+below ``f(order)`` by a margin that covers that slack, and reads such rows
+whole after all should one come back into reach.  The gain bounds allow the
+same slack.  Ties go to the lowest id among gains and to the earliest
+prefix among values.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from-scratch objective references used as independent oracles."""
 import numpy as np
 import pytest
 
-from submodknap import KnapsackInstance, WeightedGraph
+from submodknap import KnapsackInstance, WeightedGraph, harness
 
 
 @pytest.fixture
@@ -28,6 +28,42 @@ def star_149():
 @pytest.fixture
 def unit_instance_3():
     return KnapsackInstance(np.ones(3), 2.0)
+
+
+class GainsLog:
+    """An objective that records the base and the candidates of every gains
+    call it answers."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.n = objective.n
+        self.submodular = getattr(objective, "submodular", False)
+        self.bases = []
+        self.candidates = []
+
+    def __call__(self, ids):
+        return self.objective(ids)
+
+    def state(self, *base):
+        # the frozen copy's oracle passes the base; this package's passes none
+        return tuple(base[0].tolist()) if base else (), self.objective.state(*base)
+
+    def extend(self, state, e):
+        return state[0] + (int(e),), self.objective.extend(state[1], e)
+
+    def gains(self, state, candidates):
+        self.bases.append(state[0])
+        self.candidates.append(tuple(np.asarray(candidates).tolist()))
+        return self.objective.gains(state[1], candidates)
+
+
+def benchmark_instance(objective, n, p):
+    """``(objective, instance)`` built as the benchmark builds its workloads
+    (generator seed 0, budget 0.1 of the total cost): ``("cut", 200, 0.2)``
+    is ``cut-er200`` and ``("image_summ", 500, 0.0)`` is ``imsum-500``."""
+    spec = harness.ExperimentSpec("ast", objective, harness.GenerateSource(n, p, 0))
+    built, costs = harness.build_objective(spec)
+    return built, KnapsackInstance(costs, 0.1 * float(np.sort(costs).sum()))
 
 
 def state_of(objective, base):

@@ -23,7 +23,7 @@ from submodknap import (
 )
 from submodknap.alternating import threshold_loop
 from submodknap.estimator import gamma_and_guesses
-from conftest import naive_augment_prefixes
+from conftest import GainsLog, benchmark_instance, naive_augment_prefixes
 
 
 class TestSplitGround:
@@ -144,10 +144,32 @@ def _differential_case(kind, rng):
     return SumObjective(CutObjective(graph), ModularObjective(values)), graph.node_costs
 
 
-def _assert_matches_naive(objective, instance, order, singleton_gains):
+def _row_reads(log, order):
+    """The candidates of each gains call that ``augment_prefixes`` on
+    ``order`` made into ``log``, by row (its prefix's length)."""
+    reads = [[] for _ in range(len(order) + 1)]
+    for base, cands in zip(log.bases, log.candidates):
+        assert base == order[: len(base)]
+        reads[len(base)].append(cands)
+    return reads
+
+
+def _ruled_out(reads, order):
+    """The rows ruled out, from ``_row_reads``: a ruled-out row opens with
+    the gain of its next order element alone, and reads more only if it
+    comes back into reach.  Any other row opens with two gains, the next
+    order element's and its top bound's, or reads whole, or its next order
+    element is no candidate."""
+    return [i for i in range(1, len(order)) if reads[i][:1] == [(order[i],)]]
+
+
+def _assert_matches_naive(objective, instance, order, singleton_gains, read_back=False):
+    """Returns the naive best and the rows ``augment_prefixes`` ruled out;
+    ``read_back`` says whether some of them came back into reach."""
     naive_oracle = CountingOracle(objective)
     naive_full, _, naive_best = naive_augment_prefixes(naive_oracle, instance, order)
-    oracle = CountingOracle(objective)
+    log = GainsLog(objective)
+    oracle = CountingOracle(log)
     full_value, best = augment_prefixes(oracle, instance, order, singleton_gains)
     assert full_value.hex() == naive_full.hex()
     if naive_best is None:
@@ -156,7 +178,20 @@ def _assert_matches_naive(objective, instance, order, singleton_gains):
         assert best[0] == naive_best[0]
         assert best[1].hex() == naive_best[1].hex()
     assert oracle.ledger.snapshot() == naive_oracle.ledger.snapshot()
-    return naive_best
+    order = tuple(int(e) for e in order)
+    reads = _row_reads(log, order)
+    ruled = _ruled_out(reads, order)
+    assert any(len(reads[i]) > 1 for i in ruled) == read_back
+    return naive_best, ruled
+
+
+def _random_order(instance, rng):
+    """A random maximal feasible order."""
+    order = ()
+    for e in rng.permutation(instance.n).tolist():
+        if instance.feasible(order + (e,)):
+            order += (e,)
+    return order
 
 
 class TestAugmentPrefixesMatchesNaive:
@@ -164,25 +199,52 @@ class TestAugmentPrefixesMatchesNaive:
     @pytest.mark.parametrize("kind", DIFFERENTIAL_KINDS)
     def test_solver_and_random_orders(self, kind, estimator):
         # the solver's own orders with the estimator's singleton gains, and
-        # random feasible orders with those gains and with none
+        # random feasible orders with those gains and with none; rows are
+        # ruled out only with bounds, and then on every kind but image_summ,
+        # where a prefix's value plus the largest singleton gain is far
+        # above the full order's value
         rng = np.random.default_rng(
             [DIFFERENTIAL_KINDS.index(kind), sorted(ESTIMATORS).index(estimator)]
         )
+        ruled = 0
         for budget_fraction in (0.1, 0.3):
             objective, costs = _differential_case(kind, rng)
             instance = KnapsackInstance(costs, budget_fraction * float(np.sort(costs).sum()))
             gains = ESTIMATORS[estimator](CountingOracle(objective), instance).singleton_gains
             result = ast(CountingOracle(objective), instance, AstConfig(seed=3, estimator=estimator))
             for name, order in (("best_x_aug", result.x_order), ("best_y_aug", result.y_order)):
-                naive_best = _assert_matches_naive(objective, instance, order, gains)
+                naive_best, out = _assert_matches_naive(objective, instance, order, gains)
                 assert result.candidates.get(name) == naive_best
+                ruled += len(out)
             for _ in range(4):
-                order = ()
-                for e in rng.permutation(instance.n).tolist():
-                    if instance.feasible(order + (e,)):
-                        order += (e,)
-                _assert_matches_naive(objective, instance, order, gains)
-                _assert_matches_naive(objective, instance, order, None)
+                order = _random_order(instance, rng)
+                ruled += len(_assert_matches_naive(objective, instance, order, gains)[1])
+                assert _assert_matches_naive(objective, instance, order, None)[1] == []
+        if kind == "signed_image_summ":
+            assert ruled == 0
+        elif kind != "image_summ":
+            assert ruled > 0
+
+    @pytest.mark.parametrize("kind", ["cut", "revenue"])
+    def test_longer_orders_rule_rows_out(self, kind):
+        # n = 120 and budgets up to half the total cost: the solver's orders
+        # and random ones run to dozens of elements, and most of their rows
+        # are ruled out
+        rng = np.random.default_rng(DIFFERENTIAL_KINDS.index(kind))
+        for seed, budget_fraction in ((1, 0.3), (2, 0.5)):
+            graph = gen_erdos_renyi(120, 0.2, seed=seed)
+            if kind == "cut":
+                objective, costs = CutObjective(graph), graph.node_costs
+            else:
+                objective, costs = RevenueObjective(graph), revenue_costs(graph)
+            instance = KnapsackInstance(costs, budget_fraction * float(np.sort(costs).sum()))
+            gains = ESTIMATORS["greedy"](CountingOracle(objective), instance).singleton_gains
+            result = ast(CountingOracle(objective), instance, AstConfig(seed=seed))
+            orders = [result.x_order, result.y_order, _random_order(instance, rng)]
+            for order in orders:
+                assert len(order) >= 10
+                _, ruled = _assert_matches_naive(objective, instance, order, gains)
+                assert ruled
 
     def test_element_joining_with_a_negative_gain(self):
         # 1 joins first with singleton gain -5, then 2 with gain -2 past it;
@@ -193,7 +255,7 @@ class TestAugmentPrefixesMatchesNaive:
         instance = KnapsackInstance(np.ones(4), 4.0)
         gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
         assert gains.tolist() == [-1.0, -5.0, -2.0, -3.0]
-        best = _assert_matches_naive(objective, instance, (1, 2), gains)
+        best, _ = _assert_matches_naive(objective, instance, (1, 2), gains)
         assert best == ((1,), -5.0)
 
     def test_budget_boundary_breaks_the_value_chain(self):
@@ -204,7 +266,18 @@ class TestAugmentPrefixesMatchesNaive:
         instance = KnapsackInstance(np.array([0.3, 0.2, 0.1]), 0.6)
         assert instance.feasible((2, 1, 0)) and 0.1 + 0.2 + 0.3 > 0.6
         gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
-        best = _assert_matches_naive(objective, instance, (2, 1, 0), gains)
+        best, _ = _assert_matches_naive(objective, instance, (2, 1, 0), gains)
+        assert best == ((2, 1, 0), 110.0)
+
+    def test_rows_around_a_broken_link_keep_their_own_candidates(self):
+        # as above, 0 is no candidate of (2, 1), while 3 is; past (2, 1, 0)
+        # 3 no longer fits and 0 is a prefix element, so both rows have
+        # three candidates but not the same ones, and the full order must
+        # not take 3
+        objective = ModularObjective([100.0, 5.0, 5.0, 50.0])
+        instance = KnapsackInstance(np.array([0.3, 0.2, 0.1, 0.25]), 0.6)
+        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        best, _ = _assert_matches_naive(objective, instance, (2, 1, 0), gains)
         assert best == ((2, 1, 0), 110.0)
 
     def test_ties_go_to_the_lowest_id(self):
@@ -213,7 +286,7 @@ class TestAugmentPrefixesMatchesNaive:
         objective = ModularObjective([1.0, 3.0, 3.0, 3.0])
         instance = KnapsackInstance(np.ones(4), 2.0)
         gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
-        best = _assert_matches_naive(objective, instance, (0, 3), gains)
+        best, _ = _assert_matches_naive(objective, instance, (0, 3), gains)
         assert best == ((0, 1), 4.0)
 
     def test_gain_bounds_keep_their_slack(self):
@@ -223,7 +296,7 @@ class TestAugmentPrefixesMatchesNaive:
         objective = _RisingModular([1.0, 2.0, 2.0, 2.0], [0.0, 0.0, 2e-10, 1e-10])
         instance = KnapsackInstance(np.ones(4), 2.0)
         gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
-        best = _assert_matches_naive(objective, instance, (0, 3), gains)
+        best, _ = _assert_matches_naive(objective, instance, (0, 3), gains)
         assert best == ((0, 2), 3.0)
 
     def test_value_estimates_keep_their_slack(self):
@@ -233,8 +306,58 @@ class TestAugmentPrefixesMatchesNaive:
         objective = _RisingModular([1.0, 1.0, 2.0 + 1e-10, 1.0], [0.0, 0.0, 0.0, 1e-10])
         instance = KnapsackInstance(np.array([1.0, 1.0, 2.0, 1.0]), 3.0)
         gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
-        best = _assert_matches_naive(objective, instance, (0, 1, 3), gains)
+        best, _ = _assert_matches_naive(objective, instance, (0, 1, 3), gains)
         assert best[0] == (0, 2) and best[1] > objective((0, 1, 3))
+
+    def test_a_ruled_out_row_back_in_reach_is_read_whole(self):
+        # f({0}) as the estimator read it is 1e-6 low, so row 1's forward
+        # estimate plus top, (1 - 1e-6) + slackened(f({3})), falls below
+        # f(order) = 3 less the margin: row 1 is ruled out.  Its estimate
+        # back from f(order), 1 + top, reaches the best after all, so row 1
+        # is read whole: (0, 3) ties (0, 1, 2) at 3.0 and wins as the
+        # earlier prefix
+        objective = ModularObjective([1.0, 1.0, 1.0, 2.0])
+        instance = KnapsackInstance(np.array([1.0, 1.0, 1.0, 2.0]), 3.0)
+        gains = np.array([1.0 - 1e-6, 1.0, 1.0, 2.0])
+        best, ruled = _assert_matches_naive(objective, instance, (0, 1, 2), gains, read_back=True)
+        assert best == ((0, 3), 3.0) and ruled == [1]
+        log = GainsLog(objective)
+        augment_prefixes(CountingOracle(log), instance, (0, 1, 2), gains)
+        assert _row_reads(log, (0, 1, 2))[1] == [(1,), (0, 1, 2, 3)]
+
+    def test_the_last_row_is_never_ruled_out(self):
+        # f({0}) as read, 0.5, plus top falls far below f(order) = 1, but
+        # the last row has no next order element to read and is read as usual
+        objective = ModularObjective([1.0, 0.5])
+        instance = KnapsackInstance(np.ones(2), 1.0)
+        best, _ = _assert_matches_naive(objective, instance, (0,), np.array([0.5, 0.5]))
+        assert best == ((0,), 1.0)
+
+
+@pytest.mark.parametrize("objective, n, p", [("cut", 200, 0.2), ("image_summ", 500, 0.0)])
+def test_benchmark_augmentation_reads_few_argmaxes(objective, n, p):
+    # the two benchmark instances: on cut-er200 the argmax of at most one
+    # row in ten is read, and every other row reads one gain, its next
+    # order element's; on imsum-500 a prefix's value plus the largest
+    # singleton gain is far above the full order's value, and no row is
+    # ruled out
+    built, instance = benchmark_instance(objective, n, p)
+    gains = ESTIMATORS["greedy"](CountingOracle(built), instance).singleton_gains
+    for seed in (0, 1):
+        result = ast(CountingOracle(built), instance, AstConfig(seed=seed))
+        rows = ruled = 0
+        for order in (result.x_order, result.y_order):
+            log = GainsLog(built)
+            augment_prefixes(CountingOracle(log), instance, order, gains)
+            reads = _row_reads(log, order)
+            out = _ruled_out(reads, order)
+            assert all(len(reads[i]) == 1 for i in out)
+            rows += len(order)
+            ruled += len(out)
+        if objective == "cut":
+            assert rows - ruled <= 0.1 * rows
+        else:
+            assert ruled == 0
 
 
 class TestConfigValidation:

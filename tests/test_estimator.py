@@ -11,6 +11,7 @@ from submodknap import (
     estimate_best_singleton,
     estimate_greedy,
     gamma_and_guesses,
+    ast,
     gen_erdos_renyi,
 )
 from submodknap.estimator import best_singleton
@@ -149,6 +150,23 @@ class TestGuessGrid:
             gamma_and_guesses(1.0, 1.0, delta=0.2)
         with pytest.raises(ValueError, match="trivial"):
             gamma_and_guesses(0.0, 1.0)
+
+    def test_grid_out_of_float_range_is_rejected(self):
+        # normal but tiny costs and budget make gamma inf, and a subnormal
+        # estimate over a large budget puts the last threshold at 0; either
+        # way the solve fails in gamma_and_guesses, before any sampling
+        cases = (
+            ([5e-308] * 3, 1e-307, [1.0, 2.0, 3.0], "gamma overflows"),
+            ([1.0] * 3, 1e10, [1e-320] * 3, "underflows to 0"),
+        )
+        for costs, budget, values, message in cases:
+            instance = KnapsackInstance(np.array(costs), budget)
+            with pytest.raises(ValueError, match=message):
+                ast(CountingOracle(ModularObjective(values)), instance)
+        with pytest.raises(ValueError, match="gamma overflows"):
+            gamma_and_guesses(6.0, 1e-307)
+        grid = gamma_and_guesses(6.0, 1e-300)  # gamma about 1.7e303
+        assert np.isfinite(grid.gamma)
 
     def test_threshold_window_bracketed_when_estimate_brackets_opt(self):
         """Whenever the estimate lies in [factor * OPT, OPT], some grid

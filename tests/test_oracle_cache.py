@@ -20,18 +20,16 @@ from submodknap import (
     CountingOracle,
     CutObjective,
     ImageSummaryObjective,
-    KnapsackInstance,
     ModularObjective,
     RevenueObjective,
     SumObjective,
     ast,
     gen_erdos_renyi,
-    harness,
     similarity_from_features,
 )
 from submodknap.core import ExtensionGains
 
-from conftest import state_of
+from conftest import benchmark_instance, state_of
 
 KINDS = ("cut", "revenue", "image_summ", "modular", "sum")
 
@@ -300,9 +298,7 @@ def test_answers_keep_the_candidates_they_were_asked_for():
 def test_a_solve_builds_one_state_and_extends_the_rest(objective, n, p):
     # the benchmark's two instances: every non-empty base's state extends
     # a cached parent's, so the empty state is built once per solve
-    spec = harness.ExperimentSpec("ast", objective, harness.GenerateSource(n, p, 0))
-    built, costs = harness.build_objective(spec)
-    instance = KnapsackInstance(costs, 0.1 * float(np.sort(costs).sum()))
+    built, instance = benchmark_instance(objective, n, p)
     for seed in (0, 1):
         counted = _Counting(built)
         ast(CountingOracle(counted), instance, AstConfig(seed=seed))

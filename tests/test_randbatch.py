@@ -15,6 +15,7 @@ from submodknap import (
     rand_batch,
     similarity_from_features,
 )
+from conftest import GainsLog
 
 
 class TestParams:
@@ -352,30 +353,6 @@ def test_sweep_read_to_t_star_matches_the_frozen_copy(kind):
     assert accepted > 40
 
 
-class _RowLog:
-    """An objective that records the base of every gains call it answers."""
-
-    def __init__(self, objective):
-        self.objective = objective
-        self.n = objective.n
-        self.submodular = getattr(objective, "submodular", False)
-        self.bases = []
-
-    def __call__(self, ids):
-        return self.objective(ids)
-
-    def state(self, *base):
-        # the frozen copy's oracle passes the base; this package's passes none
-        return tuple(base[0].tolist()) if base else (), self.objective.state(*base)
-
-    def extend(self, state, e):
-        return state[0] + (int(e),), self.objective.extend(state[1], e)
-
-    def gains(self, state, candidates):
-        self.bases.append(state[0])
-        return self.objective.gains(state[1], candidates)
-
-
 @pytest.mark.parametrize("kind", ["cut", "signed_image_summ"])
 def test_no_sweep_reads_row_0(kind):
     # a sweep's row 0 has the base, spent cost and survivors of the check
@@ -393,7 +370,7 @@ def test_no_sweep_reads_row_0(kind):
     dens = np.array([objective([e]) for e in range(n)]) / costs
     sweeps = 0
     for seed in range(40):
-        log = _RowLog(objective)
+        log = GainsLog(objective)
         oracle = CountingOracle(log)
         instance = KnapsackInstance(costs, (0.1 + 0.1 * (seed % 5)) * float(costs.sum()))
         params = RandBatchParams(
@@ -413,7 +390,7 @@ def test_row_0_is_read_when_its_damage_rule_underflows():
 
     outs, logs = [], []
     for package in (submodknap, baseline):
-        logs.append(_RowLog(package.ModularObjective(np.full(4, 5e-324))))
+        logs.append(GainsLog(package.ModularObjective(np.full(4, 5e-324))))
         out = package.rand_batch(
             package.CountingOracle(logs[-1]),
             tuple(range(4)),
