@@ -93,8 +93,12 @@ def density_greedy_trace(oracle, instance):
     fits = np.nonzero(costs <= budget)[0]
     prune = getattr(oracle.objective, "submodular", False)
     dead = np.zeros(instance.n, dtype=bool)
+    j = None  # the last pick's position in fits
     while True:
-        fits = fits[used + costs[fits] <= budget]
+        keep = used + costs[fits] <= budget
+        if j is not None:
+            keep[j] = False  # the last pick leaves the candidates
+        fits = fits[keep]
         if not fits.size:
             break
         answers = oracle.evaluate_extensions([(selected, fits)])
@@ -113,7 +117,6 @@ def density_greedy_trace(oracle, instance):
             break
         best = int(fits[j])
         selected += (best,)
-        fits = np.delete(fits, j)
         used += costs[best]
         value += gains[j]
     return GreedyTrace(selected, float(value), singles)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import is_
 
 import numpy as np
 
@@ -28,11 +29,18 @@ def as_id_array(ids):
 
     Non-integer ids (floats, booleans such as a mask) raise ``ValueError``
     instead of being cast to other ids, also where numpy would cast a bool
-    among ints to an int; an empty collection is always valid.
+    among ints to an int; an empty collection is always valid.  A list or
+    tuple of Python ints is converted straight to ``intp``; any other
+    collection, and ints past its range, go through numpy's type inference.
     """
     if not isinstance(ids, np.ndarray):
         if not isinstance(ids, (list, tuple)):
             ids = list(ids)
+        if _INT.issuperset(map(type, ids)):
+            try:
+                return np.array(ids, dtype=np.intp)
+            except OverflowError:  # past int64: inferred as uint64 or object below
+                pass
         if _BOOLS.intersection(map(type, ids)):
             raise ValueError("element ids must be integers, not bool")
         ids = np.asarray(ids)
@@ -157,6 +165,15 @@ class CountingOracle:
     sampler's sweeps, density greedy, prefix augmentation) skip that
     conversion; answers, charges and errors are the same either way.
 
+    Nested groups.  In one call, a group whose base is a tuple one id
+    longer than the previous group's key, holding the very same objects
+    before its last id (compared with ``is``, never ``==``, which would let
+    ``1.0`` or ``True`` through), checks only that last id: a Python int,
+    in range, not in the previous key.  So a sweep's d + 1 nested bases are
+    neither type-checked, hashed nor sliced again group by group; only the
+    identity scan remains.  Any other group (a sibling, a shorter base, a
+    base whose ids are equal but other objects) takes the full check.
+
     Float and tie policy.  Extension queries are answered with the gains
     ``f(u | base)`` the objective returns; no base value is computed for
     them.  Gains steer every threshold test, stopping rule and argmax.
@@ -191,6 +208,14 @@ class CountingOracle:
             if arr.min() < 0 or arr.max() >= self.n:
                 raise ValueError("element id out of range for this ground set")
 
+    def _check_new_id(self, e, parent):
+        """Raise ``ValueError`` unless the Python int ``e`` is an id of this
+        ground set outside the checked base ``parent``."""
+        if not 0 <= e < self.n:
+            raise ValueError("element id out of range for this ground set")
+        if e in parent:
+            raise ValueError("a queried set repeats an element id")
+
     def _check_base(self, key, checked):
         """Raise ``ValueError`` unless the base ``key``, a tuple of Python
         ints, is a set of ids of this ground set.  Only the last id of a key
@@ -198,10 +223,7 @@ class CountingOracle:
         checked."""
         parent = key[:-1]
         if key and (parent in self._states or parent in checked):
-            if not 0 <= key[-1] < self.n:
-                raise ValueError("element id out of range for this ground set")
-            if key[-1] in parent:
-                raise ValueError("a queried set repeats an element id")
+            self._check_new_id(key[-1], parent)
         elif key:
             if min(key) < 0 or max(key) >= self.n:
                 raise ValueError("element id out of range for this ground set")
@@ -266,18 +288,32 @@ class CountingOracle:
         prepared = []
         queries = 0
         checked = set()
+        key = None  # the previous group's key
         last = object()  # the candidates of the previous group
         for base, candidates in groups:
             # a tuple of Python ints is its own key; anything else (an
             # array, a list, numpy or float ids) goes through as_id_array.
             # Every id's type is checked, since (1.0, 2) == (1, 2) as a key
-            if type(base) is tuple and set(map(type, base)) <= _INT:
+            if (
+                key is not None
+                and type(base) is tuple
+                and len(base) == len(key) + 1
+                and type(base[-1]) is int
+                and all(map(is_, base, key))
+            ):
+                # the previous key plus one id: the same objects up to the
+                # last, so only the last id is new (an equal 1.0 or True is
+                # not the same object, and takes the full check below)
+                self._check_new_id(base[-1], key)
                 key = base
             else:
-                key = tuple(as_id_array(base).tolist())
-            if key not in self._states and key not in checked:
-                self._check_base(key, checked)
-                checked.add(key)
+                if type(base) is tuple and set(map(type, base)) <= _INT:
+                    key = base
+                else:
+                    key = tuple(as_id_array(base).tolist())
+                if key not in self._states and key not in checked:
+                    self._check_base(key, checked)
+                    checked.add(key)
             if candidates is not last:  # a sweep passes one list to every group
                 cand_arr = as_id_array(candidates)
                 self._check_ids(cand_arr)

@@ -52,9 +52,18 @@ DEFAULT_BUDGET_FRACTIONS = tuple(np.linspace(0.125, 1.0, 8).round(6).tolist())
 
 @dataclass(frozen=True)
 class GenerateSource:
+    """A generated instance: ``n`` elements, edge probability ``p`` (graph
+    objectives only), generator ``seed``."""
+
     n: int
     p: float
     seed: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a generated instance needs at least one element, got n = {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"the generator seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,14 @@ class ExperimentSpec:
             raise ValueError(f"unknown objective: {self.objective!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if isinstance(self.source, GenerateSource) and self.objective != "image_summ":
+            if self.source.n < 2:
+                raise ValueError(
+                    f"a generated {self.objective} graph needs at least two nodes, "
+                    f"got n = {self.source.n}"
+                )
+            if not 0.0 <= self.source.p <= 1.0:
+                raise ValueError(f"edge probability p must lie in [0, 1], got {self.source.p}")
         fractions = tuple(sorted(float(f) for f in self.budget_fractions))
         if not fractions or any(not 0.0 < f <= 1.0 for f in fractions):
             raise ValueError("budget fractions must lie in (0, 1]")
@@ -390,6 +407,8 @@ def ratio_verification(trials=200, base_seed=0, instances=RATIO_INSTANCES):
     """
     if trials < 2:
         raise ValueError("trials must be at least 2: the slack needs a sample deviation")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
     reports = []
     for index, (kind, n, fraction) in enumerate(instances):
         objective, costs = _ratio_objective(kind, n, index)
@@ -434,10 +453,13 @@ def adaptivity_bench(
     depth reflects the algorithm's scheduling rather than the solution size.
     Fits mean rounds against ``ln n`` and reports the fit quality and the
     largest-to-smallest round ratio.  The fit needs at least two distinct
-    sizes; fewer raise ``ValueError`` before any solve.
+    sizes and the seeds must be non-negative; otherwise ``ValueError`` is
+    raised before any solve.
     """
     if len(set(sizes)) < 2:
         raise ValueError("sizes must hold at least two distinct values to fit rounds against ln n")
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
     mean_rounds = []
     detail = {}
     for n in sizes:
@@ -505,6 +527,17 @@ def _comma_list(convert, noun, skip_blank=False):
             ) from None
 
     return parse
+
+
+def _non_negative_int(text):
+    """An argparse ``type=`` for an integer of at least 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 _parse_fractions = _comma_list(float, "numbers", skip_blank=True)
@@ -607,7 +640,7 @@ def main(argv=None):
         "verify", help="ratio suite against brute-force optima (exit 1 on failure)"
     )
     verify_p.add_argument("--trials", type=int, default=200)
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=_non_negative_int, default=0)
 
     bench_p = subs.add_parser(
         "bench-rounds", help="adaptivity scaling suite (exit 1 on failure)"

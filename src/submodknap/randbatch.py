@@ -15,6 +15,7 @@ length, are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,17 +70,23 @@ def get_seq(current, pool, instance, external_cost, rng):
     Elements are drawn uniformly without replacement; the sequence stops once
     no remaining element fits next to ``current`` plus ``external_cost``
     within the budget.  Requires ``pool`` to be disjoint from ``current``.
+    Each pick is one ``rng.integers(k)`` call, ``k`` the number of elements
+    that still fit, in pool order.  Pool costs are read once, as Python
+    floats: the same doubles, so the same draws as comparing numpy scalars.
     """
-    costs = instance.costs
+    pool = list(pool)
     room = instance.budget - external_cost - instance.cost_of(current)
-    candidates = [e for e in pool if costs[e] <= room]
+    candidates = [(e, c) for e, c in zip(pool, instance.costs[pool].tolist()) if c <= room]
     seq = []
     while candidates:
-        pick = candidates[int(rng.integers(len(candidates)))]
+        pick, cost = candidates[int(rng.integers(len(candidates)))]
         seq.append(pick)
-        room -= costs[pick]
-        candidates = [e for e in candidates if e != pick and costs[e] <= room]
+        room -= cost
+        candidates = [(e, c) for e, c in candidates if e != pick and c <= room]
     return seq
+
+
+_sum = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
 
 
 def _clears(gains, elem_costs, spent, threshold, residual):
@@ -120,12 +127,14 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
 
     Adaptive cost: one round for the initial density filter, or none when
     no pool element can clear it (an empty pool included), in which case the
-    call returns without touching the oracle; then one round per
-    prefix-drawing iteration (survivor refilters reuse marginals already
-    queried in the sweep).  Each iteration's sweep is charged and checked in
-    full when it is issued, all d + 1 rows, but a row is computed only when
-    read: rows are read in order and reading stops at row t*, so rows past
-    it cost nothing but their charge.
+    call returns without touching the oracle, ``rng`` or ``bound``
+    (``threshold_loop`` relies on that to skip such calls from the same
+    numbers).  Then one round per prefix-drawing iteration (survivor
+    refilters reuse marginals already queried in the sweep).  Each
+    iteration's sweep is charged and checked in full when it is issued,
+    all d + 1 rows, but a row is computed only when read: rows are read in
+    order and reading stops at row t*, so rows past it cost nothing but
+    their charge.
 
     Row 0 is not read either.  Its base, the spent cost and the survivors
     are those of the check that made the survivors: the filter for the
@@ -146,6 +155,12 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     ``epsilon`` cannot underflow: every float below 2**-1021 is a
     multiple of 2**-1074, so sums below it are exact, and ``1 - epsilon
     < 1`` (which ``RandBatchParams`` requires) means ``epsilon > 2**-54``.
+
+    Each sweep's scalars are taken without per-row numpy overhead where
+    that keeps the bits: prefix costs are sequential Python sums, as
+    ``np.cumsum`` adds them; the masked sums call ``np.add.reduce``, which
+    is what ``ndarray.sum`` calls; and the survivor positions that a step
+    gain needs are indexed only when a row before t* reads one.
     """
     base = tuple(base)
     if bound is None:
@@ -183,7 +198,8 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
             # canonical cost sum admits, so they are dropped
             survivors = survivors[:0]
             break
-        prefix_costs = np.concatenate([[0.0], np.cumsum(costs[seq])])
+        # sequential sums, as np.cumsum makes them
+        prefix_costs = list(accumulate(costs[seq].tolist(), initial=0.0))
 
         # marginals of every survivor against every prefix, charged as one
         # round; row t is computed only when read.  Bases are tuples of
@@ -196,7 +212,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
         rows = oracle.evaluate_extensions(groups)
 
         surv_costs = costs[survivors]
-        surv_index = {e: j for j, e in enumerate(ids)}
+        surv_index = None  # survivor id -> position, built when a step gain is read
         pool_cost = float(surv_costs.sum())
 
         # t* is the first prefix length t at which the mass rule (t1) or the
@@ -209,15 +225,17 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
             gains = rows[t]
             # survivors after prefix t: still worth taking once it is accepted
             high = _clears(gains, surv_costs, accepted_cost + prefix_costs[t], threshold, residual)
-            remaining_mass = np.where(high, surv_costs, 0.0).sum()
-            surviving_gain = np.where(high, gains, 0.0).sum()
-            negative_gain = np.where(gains < 0.0, -gains, 0.0).sum()
+            remaining_mass = _sum(np.where(high, surv_costs, 0.0))
+            surviving_gain = _sum(np.where(high, gains, 0.0))
+            negative_gain = _sum(np.where(gains < 0.0, -gains, 0.0))
             mass_rule = remaining_mass <= (1.0 - epsilon) * pool_cost
             damage_rule = epsilon * surviving_gain <= negative_gain + damage_prefix
             if mass_rule or damage_rule or t == d:
                 break
             # the damage carried by the prefix itself: the drawn element's
             # negative marginal at the moment it would be added
+            if surv_index is None:
+                surv_index = {e: j for j, e in enumerate(ids)}
             step_gain = gains[surv_index[seq[t]]]
             if step_gain < 0.0:
                 damage_prefix += -step_gain
@@ -226,7 +244,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
         bound[survivors] = np.minimum(bound[survivors], gains)
 
         accepted.extend(seq[:t_star])
-        accepted_cost += float(prefix_costs[t_star])
+        accepted_cost += prefix_costs[t_star]
         if damage_rule or t_star == d:  # t2 <= t1: damage fired at t*, or t1 = t2 = d
             count += 1
 

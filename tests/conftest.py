@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from submodknap import KnapsackInstance, WeightedGraph, harness
+from submodknap.randbatch import RandBatchParams, rand_batch
 
 
 @pytest.fixture
@@ -148,3 +149,35 @@ def naive_augment_prefixes(oracle, instance, order):
         if best is None or value > best[1]:
             best = (aug, value)
     return float(oracle.objective(order)), augmented, best
+
+
+def naive_threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
+    """``threshold_loop`` calling ``rand_batch`` at every grid step.
+
+    Same bounds and the same per-side order, same returns: the two orders,
+    the two snapshots and the number of steps with a non-empty pool that
+    made no query.  Nothing is skipped without a call, so every step's
+    filter runs against its own threshold.
+    """
+    xs, ys = [], []
+    start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
+    sides = ((xs, start.copy()), (ys, start.copy()))
+    pool = [int(e) for e in pool]
+    use_bounds = getattr(oracle.objective, "submodular", False)
+    snapshots = [(), ()]
+    skipped = 0
+    for i in range(1, grid.num_thresholds + 1):
+        theta = grid.gamma * (1.0 - config.epsilon) ** i
+        params = RandBatchParams(threshold=theta, accept_cap=grid.accept_cap, epsilon=config.epsilon)
+        order, bound = sides[1 - i % 2]
+        rounds = oracle.ledger.adaptive_rounds
+        out = rand_batch(
+            oracle, pool, params, instance, rng, base=tuple(order),
+            bound=bound if use_bounds else None,
+        )
+        skipped += bool(pool) and oracle.ledger.adaptive_rounds == rounds
+        order.extend(out.accepted)
+        pool = [e for e in pool if e not in out.accepted]
+        if i <= 2:
+            snapshots[i - 1] = tuple(sides[i - 1][0])
+    return tuple(xs), tuple(ys), snapshots[0], snapshots[1], skipped

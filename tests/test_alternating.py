@@ -6,6 +6,7 @@ from submodknap import (
     AstConfig,
     CountingOracle,
     CutObjective,
+    GuessGrid,
     ImageSummaryObjective,
     KnapsackInstance,
     ModularObjective,
@@ -21,9 +22,11 @@ from submodknap import (
     similarity_from_features,
     split_ground,
 )
+from submodknap import alternating
 from submodknap.alternating import threshold_loop
 from submodknap.estimator import gamma_and_guesses
-from conftest import GainsLog, benchmark_instance, naive_augment_prefixes
+from submodknap.randbatch import slackened
+from conftest import GainsLog, benchmark_instance, naive_augment_prefixes, naive_threshold_loop
 
 
 class TestSplitGround:
@@ -412,6 +415,150 @@ class TestThresholdLoop:
             runs.append((out, oracle.ledger.snapshot()))
         assert all(run == runs[0] for run in runs)
         assert runs[0][0][0] and runs[0][0][1]
+
+
+def _record_calls(patch):
+    """Wrap ``alternating.rand_batch`` through the monkeypatch ``patch``;
+    the returned list gets ``(threshold, queried)`` for every call."""
+    calls = []
+    real = alternating.rand_batch
+
+    def recording(oracle, pool, params, *args, **kwargs):
+        rounds = oracle.ledger.adaptive_rounds
+        out = real(oracle, pool, params, *args, **kwargs)
+        calls.append((params.threshold, oracle.ledger.adaptive_rounds > rounds))
+        return out
+
+    patch.setattr(alternating, "rand_batch", recording)
+    return calls
+
+
+def _step_calls(calls, grid, epsilon):
+    """Each grid step's call from ``_record_calls``: True when it queried,
+    False when it did not, None for no call."""
+    step_of = {grid.gamma * (1.0 - epsilon) ** i: i for i in range(1, grid.num_thresholds + 1)}
+    steps = [None] * (grid.num_thresholds + 1)
+    for threshold, queried in calls:
+        steps[step_of[threshold]] = queried
+    return steps
+
+
+class TestThresholdLoopMatchesCallingEveryStep:
+    """``threshold_loop`` skips the steps under a side's ceiling without
+    calling ``rand_batch``; ``naive_threshold_loop`` calls it at every step.
+    Orders, snapshots, skipped steps, charges and the generator's state
+    afterwards must all be the same."""
+
+    @staticmethod
+    def _assert_matches(monkeypatch, objective, instance, pool, grid, config, gains):
+        """Both loops on fresh oracles and generators; returns the steps'
+        calls, as ``_step_calls`` gives them."""
+        runs = []
+        for loop in (naive_threshold_loop, threshold_loop):
+            with monkeypatch.context() as patch:
+                calls = _record_calls(patch)
+                oracle, rng = CountingOracle(objective), np.random.default_rng(config.seed)
+                out = loop(oracle, instance, pool, grid, config, rng, gains)
+            runs.append((out, oracle.ledger.snapshot(), rng.bit_generator.state))
+        assert runs[1] == runs[0]
+        return _step_calls(calls, grid, config.epsilon)
+
+    @pytest.mark.parametrize("estimator", ["greedy", "singleton"])
+    @pytest.mark.parametrize(
+        "kind", ["cut", "revenue", "modular", "sum", "image_summ", "signed_image_summ"]
+    )
+    def test_generated_instances(self, monkeypatch, kind, estimator):
+        rng = np.random.default_rng(17)
+        uncalled = 0
+        for fraction in (0.1, 0.3, 0.6):
+            objective, costs = _differential_case(kind, rng)
+            instance = KnapsackInstance(costs, fraction * float(np.sort(costs).sum()))
+            config = AstConfig(estimator=estimator)
+            estimate = ESTIMATORS[estimator](CountingOracle(objective), instance)
+            grid = gamma_and_guesses(
+                estimate.value, instance.budget,
+                alpha=config.alpha, epsilon=config.epsilon, delta=config.delta,
+            )
+            _, rest = split_ground(instance, config.epsilon)
+            for seed in (0, 1):
+                config = AstConfig(seed=seed, estimator=estimator)
+                for gains in (estimate.singleton_gains, None):
+                    steps = self._assert_matches(
+                        monkeypatch, objective, instance, rest, grid, config, gains
+                    )
+                    uncalled += steps[1:].count(None)
+        if kind == "signed_image_summ":
+            assert uncalled == 0  # no bounds, so every step calls
+        else:
+            assert uncalled > 0
+
+    @staticmethod
+    def _modular_case(values):
+        """Unit costs and a budget that fits everything; the grid starts at
+        10 and falls by 0.9 a step."""
+        values = np.asarray(values, dtype=np.float64)
+        instance = KnapsackInstance(np.ones(values.size), float(values.size))
+        return ModularObjective(values), instance, GuessGrid(10.0, 12, 50), AstConfig()
+
+    def test_a_ceiling_equal_to_the_threshold_calls(self, monkeypatch):
+        # element 0's bound, slackened, is exactly step 3's threshold, so X
+        # skips step 1 with a call and must call (and query) at step 3
+        theta_3 = 10.0 * (1.0 - AstConfig().epsilon) ** 3
+        bound = theta_3 / (1.0 + 1e-9)
+        for _ in range(64):  # step by ulps until the slackened bound lands on it
+            raised = slackened(np.array([bound]))[0]
+            if raised == theta_3:
+                break
+            bound = float(np.nextafter(bound, np.inf if raised < theta_3 else 0.0))
+        assert raised == theta_3
+        # element 0's gain is its bound, whose density falls just short of
+        # theta_3: the query finds it, and nothing is taken at step 3
+        objective, instance, grid, config = self._modular_case([bound, 1.0, 0.5])
+        gains = np.array([bound, 1.0, 0.5])
+        steps = self._assert_matches(monkeypatch, objective, instance, [0, 1, 2], grid, config, gains)
+        assert steps[1] is False and steps[3] is True
+
+    def test_a_pool_the_other_side_shrinks(self, monkeypatch):
+        # X's call at step 1 finds nothing, with a ceiling of 8.5, element
+        # 0's density, above step 3's threshold; Y takes element 0 at step
+        # 2, so at step 3 X's ceiling over the pool left (5.0) skips without
+        # a call, and so does step 5; X queries at step 7 (threshold 4.78)
+        objective, instance, grid, config = self._modular_case([8.5, 5.0, 0.5])
+        gains = np.array([8.5, 5.0, 0.5])
+        steps = self._assert_matches(monkeypatch, objective, instance, [0, 1, 2], grid, config, gains)
+        assert steps[1:8] == [False, True, None, False, None, None, True]
+
+    def test_an_empty_pool(self, monkeypatch):
+        objective, instance, grid, config = self._modular_case([8.5, 5.0, 0.5])
+        steps = self._assert_matches(monkeypatch, objective, instance, [], grid, config, None)
+        # one call per side, whose ceiling (no element fits) skips the rest
+        assert steps[1:3] == [False, False] and steps[3:].count(None) == grid.num_thresholds - 2
+
+
+@pytest.mark.parametrize("objective, n, p", [("cut", 200, 0.2), ("image_summ", 500, 0.0)])
+def test_benchmark_skipped_runs_call_once(monkeypatch, objective, n, p):
+    """On both benchmark instances, a side's run of consecutive steps
+    without a query makes at most one call that queries nothing, and the
+    skipped steps are those of a loop that calls at every step."""
+    built, instance = benchmark_instance(objective, n, p)
+    for seed in (0, 1):
+        config = AstConfig(seed=seed)
+        with monkeypatch.context() as patch:
+            calls = _record_calls(patch)
+            result = ast(CountingOracle(built), instance, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(alternating, "threshold_loop", naive_threshold_loop)
+            reference = ast(CountingOracle(built), instance, config)
+        assert result == reference
+        grid = GuessGrid(result.gamma, result.num_thresholds, result.accept_cap)
+        steps = _step_calls(calls, grid, config.epsilon)
+        for side in (1, 2):
+            empty_calls = 0  # calls without a query since the side's last query
+            for queried in steps[side::2]:
+                empty_calls = 0 if queried else empty_calls + (queried is False)
+                assert empty_calls <= 1
+        if objective == "cut":  # stale bounds keep every image_summ step live
+            assert None in steps[1:]
 
 
 def run_small(objective, instance, seed=0, **kwargs):

@@ -50,6 +50,20 @@ class TestAsIdArray:
             with pytest.raises(ValueError, match="integers"):
                 as_id_array(ids)
 
+    def test_ints_past_int64_rejected(self):
+        for ids in ([2**70], (1, 2**70), [-(2**70)]):
+            with pytest.raises(ValueError, match="integers"):
+                as_id_array(ids)
+
+    def test_python_int_lists(self):
+        for ids, message in (([1, True], "bool"), ([1, 2.0], "float"), ((1, np.True_), "bool")):
+            with pytest.raises(ValueError, match=message):
+                as_id_array(ids)
+        empty = as_id_array([])
+        assert empty.dtype == np.intp and empty.shape == (0,)
+        arr = as_id_array([5, 0, 2**62])
+        assert arr.dtype == np.intp and arr.tolist() == [5, 0, 2**62]
+
     def test_not_one_dimensional_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
             as_id_array(np.zeros((2, 2), dtype=np.intp))
@@ -294,6 +308,97 @@ class TestTupleBases:
                 assert got.tobytes() == reference.marginal_batch(base, cands).tobytes()
             assert oracle.evaluate(tuple(np.array(base))) == reference.evaluate(base)
         assert oracle.ledger.snapshot() == reference.ledger.snapshot()
+
+    # Sweep-shaped calls: a group whose base is the previous group's key
+    # plus one id, with the same objects before it, checks only that id;
+    # every other group takes the full check.
+
+    @staticmethod
+    def _sweep(base=(3, 1, 5), seq=(7, 9, 11)):
+        """The nested bases of a sweep: ``base``, then ``base`` plus each
+        prefix of ``seq``."""
+        keys = [base]
+        for e in seq:
+            keys.append(keys[-1] + (e,))
+        return keys
+
+    def _assert_rejected(self, keys, message):
+        """The sweep over ``keys`` raises and charges nothing, on a fresh
+        oracle and on one that caches the first base."""
+        cands = np.array([0, 2])
+        for oracle in (CountingOracle(self._cached_oracle().objective), self._cached_oracle()):
+            before = oracle.ledger.snapshot()
+            with pytest.raises(ValueError, match=message):
+                oracle.evaluate_extensions([(key, cands) for key in keys])
+            assert oracle.ledger.snapshot() == before
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("kind", ["float", "numpy float", "bool", "numpy bool"])
+    def test_a_nested_group_checks_every_type(self, kind, position):
+        keys = self._sweep()
+        e = keys[2][position]
+        bad = {"float": float(e), "numpy float": np.float64(e), "bool": True, "numpy bool": np.True_}
+        keys[2] = keys[2][:position] + (bad[kind],) + keys[2][position + 1:]
+        self._assert_rejected(keys, "integers")
+
+    @pytest.mark.parametrize(
+        "position, value, message",
+        [
+            (4, 3, "repeats"),  # the last id repeats the shared prefix's first
+            (4, 5, "repeats"),
+            (4, 7, "repeats"),  # ... or its last
+            (4, 20, "range"),
+            (4, -1, "range"),
+            (0, 20, "range"),
+            (2, 20, "range"),
+            (2, 3, "repeats"),
+        ],
+    )
+    def test_a_nested_group_checks_its_ids(self, position, value, message):
+        keys = self._sweep()
+        keys[2] = keys[2][:position] + (value,) + keys[2][position + 1:]
+        self._assert_rejected(keys, message)
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_equal_ids_that_are_other_objects_give_the_same_answers(self, position):
+        # ids past 256 are distinct objects when built afresh, so these
+        # groups take the full check; the answers and charges stay the same
+        objective = CutObjective(gen_erdos_renyi(600, 0.05, seed=2))
+        keys = self._sweep((300, 280, 500), (307, 409, 511))
+        cands = np.array([0, 2, 299, 599])
+        reference = CountingOracle(objective)
+        want = list(reference.evaluate_extensions([(key, cands) for key in keys]))
+        for convert in (np.int64, lambda e: int(str(e))):
+            mixed = list(keys)
+            mixed[2] = keys[2][:position] + (convert(keys[2][position]),) + keys[2][position + 1:]
+            oracle = CountingOracle(objective)
+            got = list(oracle.evaluate_extensions([(key, cands) for key in mixed]))
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert oracle.ledger.snapshot() == reference.ledger.snapshot()
+
+    @pytest.mark.parametrize(
+        "sibling, message",
+        [
+            ((3, 1, 5, 3), "repeats"),
+            ((3, 1, 5, 20), "range"),
+            ((3, 1, 5, 9.0), "integers"),
+            ((3, 1, 5, True), "integers"),
+            ((3, 1, 9, 7, 9), "repeats"),  # one id longer, not an extension
+            ((3, 1, 5, 9, 3), "repeats"),
+        ],
+    )
+    def test_a_sibling_group_takes_the_full_check(self, sibling, message):
+        self._assert_rejected([(3, 1, 5, 7), sibling], message)
+
+    def test_siblings_give_the_same_answers(self):
+        objective = self._cached_oracle().objective
+        groups = [(3, 1, 5, 7), (3, 1, 5, 9), (3, 1, 5, 9, 2), (3, 1), (3, 1, 4)]
+        cands = np.array([0, 2, 8])
+        oracle = CountingOracle(objective)
+        got = list(oracle.evaluate_extensions([(key, cands) for key in groups]))
+        for key, gains in zip(groups, got):
+            assert gains.tobytes() == CountingOracle(objective).marginal_batch(key, cands).tobytes()
+        assert oracle.ledger.snapshot() == (len(groups) * 4, 1)
 
 
 class TestFeasibility:

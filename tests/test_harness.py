@@ -104,6 +104,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             small_spec(trials=0)
 
+    def test_generated_source_validation(self):
+        for n, p, seed, message in (
+            (0, 0.2, 0, "at least one element"),
+            (5, 0.2, -1, "seed must be non-negative"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                GenerateSource(n, p, seed)
+        for objective in ("cut", "revenue"):
+            with pytest.raises(ValueError, match="at least two nodes"):
+                small_spec(objective=objective, source=GenerateSource(1, 0.2, 0))
+            for p in (-0.1, 1.5, float("nan")):
+                with pytest.raises(ValueError, match="edge probability"):
+                    small_spec(objective=objective, source=GenerateSource(5, p, 0))
+        # image_summ draws features, not edges: one element and any p will do
+        small_spec(objective="image_summ", source=GenerateSource(1, 1.5, 0))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            AstConfig(seed=-1)
+
 
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
@@ -324,6 +342,14 @@ class TestCli:
             (["sweep", "--algorithms", "ast,nope"], "unknown algorithm: 'nope'"),
             (["sweep", "--objective", "cut", "--features", "f.csv"], "--features"),
             (["run", "--epsilon", "1e-17"], "epsilon is too small"),
+            (["run", "--gen-n", "1"], "cut graph needs at least two nodes"),
+            (["run", "--gen-n", "1", "--objective", "revenue"], "at least two nodes"),
+            (["run", "--gen-n", "0", "--objective", "image_summ"], "at least one element"),
+            (["run", "--gen-p", "1.5"], "edge probability p must lie in [0, 1]"),
+            (["run", "--gen-p", "-0.1", "--objective", "revenue"], "edge probability"),
+            (["run", "--seed", "-1"], "seed must be non-negative"),
+            (["run", "--seed", "-1", "--objective", "image_summ"], "seed must be non-negative"),
+            (["sweep", "--gen-n", "1"], "at least two nodes"),
         ],
     )
     def test_bad_spec_is_a_usage_error_before_any_solve(self, monkeypatch, capsys, argv, message):
@@ -356,6 +382,18 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--trials" in capsys.readouterr().err
 
+    def test_verify_names_a_negative_seed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--seed", "-1"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]  # below the usage line
+        assert "argument --seed: expected a non-negative integer" in error
+
+    def test_image_summ_takes_any_edge_probability(self, monkeypatch):
+        # p shapes graphs only; a generated image_summ instance ignores it
+        (spec,) = captured_specs(monkeypatch, ["run", "--objective", "image_summ", "--gen-p", "1.5"])
+        assert spec.source.p == 1.5
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -364,6 +402,7 @@ class TestCli:
             (["--sizes", "64,x"], "--sizes"),
             (["--bench-seeds", "x"], "--bench-seeds"),
             (["--bench-seeds", ""], "--bench-seeds"),
+            (["--bench-seeds", "0,-1"], "seeds must be non-negative"),  # before seed 0's solves
         ],
     )
     def test_bench_rounds_rejects_a_gate_it_cannot_compute(self, capsys, flags, message):
@@ -505,6 +544,10 @@ class TestVerificationEngines:
     def test_ratio_verification_needs_two_trials(self):
         with pytest.raises(ValueError, match="at least 2"):
             ratio_verification(trials=1, instances=(("cut", 8, 0.4),))
+
+    def test_ratio_verification_needs_a_non_negative_seed(self):
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            ratio_verification(trials=2, base_seed=-1, instances=(("cut", 8, 0.4),))
 
     @pytest.mark.parametrize("sizes", [(24,), (24, 24)])
     def test_adaptivity_bench_needs_two_distinct_sizes(self, sizes):

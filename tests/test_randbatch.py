@@ -79,6 +79,49 @@ class TestGetSeq:
         assert a == b
 
 
+class TestGetSeqMatchesTheFrozenCopy:
+    """``get_seq`` reads pool costs as Python floats; its draws and its
+    generator calls must stay those of the frozen copy's list version."""
+
+    @staticmethod
+    def _case(rng, boundary):
+        """A random instance, a current set and a disjoint pool in random
+        order.  ``boundary`` costs are tenths whose sums round, with a budget
+        that a canonical sum of some of them meets exactly."""
+        n = int(rng.integers(1, 30))
+        if boundary:
+            costs = rng.integers(1, 8, size=n) / 10.0
+            budget = float(np.sort(costs[: int(rng.integers(1, n + 1))]).sum())
+        else:
+            costs = rng.random(n) + 1e-3
+            budget = float(rng.random() * costs.sum() + 1e-3)
+        ids = rng.permutation(n).tolist()
+        cut = int(rng.integers(0, n + 1))
+        return KnapsackInstance(costs, budget), ids[:cut], ids[cut:]
+
+    def test_random_pools_draw_the_same(self):
+        from test_lazy_filter import baseline
+
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            instance, ids, pool = self._case(rng, boundary=trial % 2 == 1)
+            frozen = baseline.KnapsackInstance(instance.costs, instance.budget)
+            current = ids[: int(rng.integers(0, len(ids) + 1))]
+            room = instance.budget - instance.cost_of(current)
+            externals = [0.0, float(rng.random() * instance.budget)]
+            if pool:  # leave room for exactly one pool element, up to rounding
+                externals.append(room - float(instance.costs[pool[0]]))
+            shapes = (list, tuple, lambda p: np.array(p, dtype=np.intp))
+            for external in externals:
+                for shape in shapes:
+                    ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+                    got = get_seq(current, shape(pool), instance, external, ours)
+                    want = baseline.randbatch.get_seq(current, shape(pool), frozen, external, theirs)
+                    assert got == want
+                    assert [type(e) for e in got] == [type(e) for e in want]
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def modular_setup(values, costs, budget):
     objective = ModularObjective(values)
     instance = KnapsackInstance(np.asarray(costs, dtype=float), budget)
