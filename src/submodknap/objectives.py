@@ -53,6 +53,8 @@ prefix among values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import as_id_array
@@ -129,7 +131,8 @@ class WeightedGraph:
             if not np.all(np.isfinite(w)) or np.any(w < 0):
                 raise ValueError("edge weights must be finite and non-negative")
             key = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
-            if np.unique(key).size != key.size:
+            key.sort()
+            if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate undirected edge")
         self.n = n
         self.edge_u = u
@@ -197,12 +200,25 @@ def similarity_from_features(feats):
     to exactly 1, so rounding cannot break the matrix's invariants.
     """
     unit = feats / np.linalg.norm(feats, axis=1)[:, None]
-    sim = unit @ unit.T
-    sim += sim.T
-    sim /= 2.0
+    sim = _symmetrized(unit @ unit.T)
     np.clip(sim, -1.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
     return SimilarityMatrix(sim)
+
+
+def _symmetrized(product):
+    """``(product + product.T) / 2``, computed in place.
+
+    numpy computes ``a @ a.T`` with a symmetric rank-k update, which gives
+    an exactly symmetric product whose average with its transpose is the
+    same bits; such a product is returned as it is, without the pass in
+    transposed order and the whole-matrix copy that ``+=`` of an
+    overlapping operand makes.
+    """
+    if not np.array_equal(product, product.T):
+        product += product.T
+        product /= 2.0
+    return product
 
 
 def _members(n, ids):
@@ -423,34 +439,39 @@ def revenue_costs(graph):
     return np.maximum(costs, 1e-6)
 
 
+_PAIR_BLOCK = 1 << 20  # pair indicators drawn per generator call
+
+
 def gen_erdos_renyi(n, p, seed):
     """Random graph: each unordered pair is an edge independently with
     probability ``p``.
 
     Edge weights and node costs are drawn uniformly from the open interval
-    (0, 1).  Draw order is fixed (pair indicators row by row, then edge
-    weights, then node costs) so the output is fully determined by ``seed``.
+    (0, 1).  The draw order is fixed, so the output is fully determined by
+    ``seed``: first one uniform per unordered pair, in row-major order over
+    the upper triangle ((0, 1), (0, 2), ..., (0, n-1), (1, 2), ...), drawn
+    ``_PAIR_BLOCK`` at a time (k draws in a row are the same numbers as one
+    draw of k); then one weight per edge, in that order; then the node
+    costs.  A pair is an edge when its uniform is below ``p``.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    heads = []
-    tails = []
-    for u in range(n - 1):
-        hits = np.nonzero(rng.random(n - 1 - u) < p)[0]
-        if hits.size:
-            heads.append(np.full(hits.size, u, dtype=np.intp))
-            tails.append(hits + u + 1)
-    if heads:
-        u_arr = np.concatenate(heads)
-        v_arr = np.concatenate(tails)
-        w_arr = _open_unit(rng, u_arr.size)
-    else:
-        u_arr = np.empty(0, dtype=np.intp)
-        v_arr = np.empty(0, dtype=np.intp)
-        w_arr = np.empty(0, dtype=np.float64)
+    # Row u holds the pairs (u, u+1), ..., (u, n-1); starts[u] is the
+    # position of its first pair in the row-major order.
+    starts = np.zeros(n - 1, dtype=np.intp)
+    np.cumsum(np.arange(n - 1, 1, -1), out=starts[1:])
+    pairs = n * (n - 1) // 2
+    hits = [
+        np.flatnonzero(rng.random(min(_PAIR_BLOCK, pairs - lo)) < p) + lo
+        for lo in range(0, pairs, _PAIR_BLOCK)
+    ]
+    flat = np.concatenate(hits)
+    u_arr = np.searchsorted(starts, flat, side="right") - 1
+    v_arr = flat - starts[u_arr] + u_arr + 1
+    w_arr = _open_unit(rng, flat.size)
     node_costs = _open_unit(rng, n)
     return WeightedGraph.from_arrays(n, u_arr, v_arr, w_arr, node_costs=node_costs)
 
@@ -518,11 +539,12 @@ def load_features(path):
                     f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                 )
             try:
-                rows.append([float(x) for x in fields])
+                row = [float(x) for x in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if not all(np.isfinite(v) for v in rows[-1]):
+            if not all(map(math.isfinite, row)):
                 raise DataError(f"{path}: line {lineno}: non-finite feature value")
+            rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no feature rows found")
     feats = np.asarray(rows, dtype=np.float64)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import submodknap
+import submodknap.harness  # noqa: F401  (the frozen-copy test reads ``package.harness``)
 from submodknap import (
     CutObjective,
     DataError,
@@ -21,6 +23,7 @@ from submodknap import (
     revenue_costs,
     similarity_from_features,
 )
+from submodknap.objectives import _PAIR_BLOCK, _symmetrized
 from submodknap.randbatch import BOUND_SLACK
 from conftest import naive_cut, naive_image_summary, naive_revenue, state_of
 
@@ -231,6 +234,23 @@ class TestWeightedGraphValidation:
         with pytest.raises(ValueError, match="duplicate"):
             WeightedGraph(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([0, 2, 0, 1], [1, 3, 1, 2]),  # the same orientation
+            ([0, 3, 2], [1, 2, 3]),  # reversed
+            ([1, 0, 0, 2, 1, 3], [4, 1, 2, 3, 0, 4]),  # (0, 1) at positions 1 and 4
+        ],
+    )
+    def test_from_arrays_rejects_duplicate_pair(self, u, v):
+        w = np.ones(len(u))
+        with pytest.raises(ValueError, match="duplicate undirected edge"):
+            WeightedGraph.from_arrays(5, u, v, w)
+
+    def test_from_arrays_accepts_distinct_pairs(self):
+        graph = WeightedGraph.from_arrays(4, [2, 0, 3, 1], [3, 1, 0, 2], np.ones(4))
+        assert graph.num_edges == 4
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             WeightedGraph(2, [(0, 5, 1.0)])
@@ -335,6 +355,95 @@ class TestLoadFeatures:
         path.write_text("1.0,nan\n")
         with pytest.raises(DataError, match="non-finite"):
             load_features(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_after_blank_lines_reports_its_line(self, tmp_path, value):
+        path = tmp_path / "feats.csv"
+        path.write_text(f"1.0,2.0\n\n\n3.0,{value}\n1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match="line 4: non-finite feature value"):
+            load_features(path)
+
+
+class TestSymmetrized:
+    def test_a_symmetric_product_is_returned_as_it_is(self):
+        unit = np.random.default_rng(5).random((30, 8))
+        product = unit @ unit.T
+        before = product.copy()
+        assert _symmetrized(product) is product
+        assert np.array_equal(product, before)
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_a_non_symmetric_product_is_averaged(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        want = (a + a.T) / 2.0
+        got = _symmetrized(a.copy())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBuildMatchesTheFrozenCopy:
+    """The instance builders must return the frozen copy's arrays bit for
+    bit, dtypes included.  ``perfbench/checks.py`` builds its reference
+    graph with this package's own generator, so only this test would see a
+    generator that drew a different instance."""
+
+    @staticmethod
+    def _same(ours, theirs):
+        assert ours.dtype == theirs.dtype
+        assert ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs)
+
+    CROSSING = (1449, 1500)  # the first n whose pairs fill more than one block, and a larger one
+
+    def test_crossing_sizes_cross_a_block(self):
+        assert 1448 * 1447 // 2 <= _PAIR_BLOCK
+        for n in self.CROSSING:
+            assert n * (n - 1) // 2 > _PAIR_BLOCK
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 200, *CROSSING])
+    def test_erdos_renyi_draws_the_same(self, n):
+        from test_lazy_filter import baseline
+
+        seeds = (0,) if n > 1000 else (0, 1, 2)
+        for p in (0.0, 1e-3, 0.2, 0.5, 1.0):
+            for seed in seeds:
+                ours = gen_erdos_renyi(n, p, seed)
+                theirs = baseline.gen_erdos_renyi(n, p, seed)
+                for name in ("edge_u", "edge_v", "edge_w", "node_costs"):
+                    self._same(getattr(ours, name), getattr(theirs, name))
+
+    @pytest.mark.parametrize(
+        "shape, signed", [((1, 1), False), ((2, 3), False), ((17, 64), False),
+                          ((200, 64), False), ((60, 7), True), ((33, 1), True)]
+    )
+    def test_similarities_are_the_same(self, tmp_path, shape, signed):
+        from test_lazy_filter import baseline
+
+        rng = np.random.default_rng(shape[0])
+        feats = rng.standard_normal(shape) if signed else rng.random(shape)
+        feats[-1] = feats[0]  # an exact duplicate row
+        path = tmp_path / "feats.csv"
+        np.savetxt(path, feats, delimiter=",", fmt="%.17g")  # round-trips exactly
+        theirs = baseline.load_features(path).sim
+        self._same(similarity_from_features(feats).sim, theirs)
+        self._same(load_features(path).sim, theirs)
+
+    @pytest.mark.parametrize("kind", ["cut", "revenue", "image_summ"])
+    @pytest.mark.parametrize("n, seed", [(2, 0), (40, 3), (200, 0), (500, 7)])
+    def test_build_objective_is_the_same(self, kind, n, seed):
+        from test_lazy_filter import baseline
+
+        built = []
+        for package in (submodknap, baseline):
+            spec = package.harness.ExperimentSpec(
+                "ast", kind, package.harness.GenerateSource(n, 0.2, seed),
+                config=package.AstConfig(seed=seed + 1),
+            )
+            built.append(package.harness.build_objective(spec))
+        (ours, our_costs), (theirs, their_costs) = built
+        self._same(our_costs, their_costs)
+        names = ("_sim",) if kind == "image_summ" else ("_indptr", "_indices", "_data")
+        for name in names:
+            self._same(getattr(ours, name), getattr(theirs, name))
 
 
 class TestModularAndSum:
