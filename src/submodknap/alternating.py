@@ -112,31 +112,19 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     and the second after step two, and the number of such skipped steps
     with a non-empty pool.
 
-    A side's steps that its bounds rule out do not call ``rand_batch``.
-    After a call that makes no query, the side's ceiling is the largest
-    ``slackened(bound[u]) / c(u)`` over the pool elements ``u`` with
-    ``c(u) <= budget - cost_of(order)``, the very numbers the call's filter
-    compared with its threshold (-inf when no element fits).  Until the
-    side queries again its bound array and its order stay as they are (a
-    call that makes no query changes neither, and only a query accepts
-    elements), so its residual budget does too, while the pool only
-    shrinks.  So every later step of the side tests a subset of the same
-    densities, and while the ceiling is below a step's threshold none of
-    them clears it: ``rand_batch`` would return nothing without touching
-    the oracle or the generator.  Such a step is counted as skipped (when
-    the pool is not empty) without the call.  Once a step's threshold
-    reaches the ceiling, a pool that the other side has shrunk since gets
-    its ceiling computed again; a ceiling over the step's own pool that
-    reaches the threshold (equality included, as the filter's test is
-    ``>=``) means the call will query.  So in a side's run of steps
-    without a query only the first, just after a query, can call
-    ``rand_batch`` for nothing.  A NaN ceiling always calls.  A call that
-    queries resets the ceiling to +inf.
+    Each side keeps the ``ceiling`` of its last ``rand_batch`` call (+inf
+    after a query) and skips, without a call, the steps whose threshold is
+    above it.  A call that queries nothing leaves the side's bounds and
+    order as they are, and the pool only shrinks, so the ceiling still
+    bounds every density the next call's filter would test: that call
+    would query nothing either.  A step whose threshold the ceiling
+    reaches calls; over a pool the other side has shrunk since, the call
+    may again query nothing and return a lower ceiling.
     """
     xs, ys = [], []
     start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
-    # each side's order, bound array, ceiling and the pool it was taken over
-    sides = ([xs, start.copy(), math.inf, None], [ys, start.copy(), math.inf, None])
+    bounds = (start.copy(), start.copy())
+    ceilings = [math.inf, math.inf]
     pool = as_id_array(pool)
     taken = np.zeros(instance.n, dtype=bool)
     x_after_first = ()
@@ -146,47 +134,28 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     use_bounds = getattr(oracle.objective, "submodular", False)
     for i in range(1, grid.num_thresholds + 1):
         theta = grid.gamma * (1.0 - config.epsilon) ** i
-        side = sides[1 - i % 2]
-        order, bound, ceiling, over = side
-        if over is not None and over is not pool and ceiling >= theta:
-            ceiling = side[2] = _ceiling(instance, pool, bound, order)
-            side[3] = pool
-        if ceiling < theta:
-            skipped += pool.size > 0
-        else:
+        side = 1 - i % 2
+        rounds = ledger.adaptive_rounds
+        if not ceilings[side] < theta:  # a NaN ceiling calls
+            order = (xs, ys)[side]
             params = RandBatchParams(
                 threshold=theta, accept_cap=grid.accept_cap, epsilon=config.epsilon
             )
-            rounds = ledger.adaptive_rounds
             out = rand_batch(
                 oracle, pool, params, instance, rng, base=tuple(order),
-                bound=bound if use_bounds else None,
+                bound=bounds[side] if use_bounds else None,
             )
-            if ledger.adaptive_rounds == rounds:
-                skipped += pool.size > 0
-                if use_bounds:
-                    side[2:] = _ceiling(instance, pool, bound, order), pool
-            else:
-                side[2:] = math.inf, None
+            ceilings[side] = out.ceiling
             if out.accepted:
                 order.extend(out.accepted)
                 taken[list(out.accepted)] = True
                 pool = pool[~taken[pool]]
+        skipped += pool.size > 0 and ledger.adaptive_rounds == rounds
         if i == 1:
             x_after_first = tuple(xs)
         elif i == 2:
             y_after_second = tuple(ys)
     return tuple(xs), tuple(ys), x_after_first, y_after_second, skipped
-
-
-def _ceiling(instance, pool, bound, order):
-    """The largest ``slackened`` bound density over the ``pool`` elements
-    that fit next to ``order``, or -inf when none does."""
-    costs = instance.costs[pool]
-    fit = costs <= instance.budget - instance.cost_of(order)
-    if not fit.any():
-        return -math.inf
-    return float((slackened(bound[pool[fit]]) / costs[fit]).max())
 
 
 def augment_prefixes(oracle, instance, order, singleton_gains=None):

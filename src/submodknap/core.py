@@ -150,11 +150,11 @@ class CountingOracle:
     bases whose gains it computed most recently, keyed by the exact id
     sequence (a state's last bits may depend on the order); using the 257th
     evicts the least recently used.  The bound is fixed; nothing sets it.  A
-    base whose state is cached is not checked again.  A new base whose parent
-    (the base minus its last id) has a cached state, or was checked earlier
-    in the same call, checks only its last id; its state extends the
-    parent's by that id when the parent's is cached at the time it is read,
-    and otherwise extends the empty state by every id of the base in turn.
+    base whose state is cached is not checked again; any other base is
+    checked in full, unless it nests on the previous group (below).  A
+    base's state extends its parent's (the base minus its last id) by that
+    id when the parent's is cached at the time it is read, and otherwise
+    extends the empty state by every id of the base in turn.
     Since the objective is pure, the cache changes no answer and no charge:
     every base and every extension is charged as if evaluated afresh.
 
@@ -216,15 +216,10 @@ class CountingOracle:
         if e in parent:
             raise ValueError("a queried set repeats an element id")
 
-    def _check_base(self, key, checked):
+    def _check_base(self, key):
         """Raise ``ValueError`` unless the base ``key``, a tuple of Python
-        ints, is a set of ids of this ground set.  Only the last id of a key
-        whose parent is known (its state cached, or in ``checked``) is
-        checked."""
-        parent = key[:-1]
-        if key and (parent in self._states or parent in checked):
-            self._check_new_id(key[-1], parent)
-        elif key:
+        ints, is a set of ids of this ground set."""
+        if key:
             if min(key) < 0 or max(key) >= self.n:
                 raise ValueError("element id out of range for this ground set")
             if len(set(key)) != len(key):
@@ -287,7 +282,6 @@ class CountingOracle:
         """
         prepared = []
         queries = 0
-        checked = set()
         key = None  # the previous group's key
         last = object()  # the candidates of the previous group
         for base, candidates in groups:
@@ -311,9 +305,8 @@ class CountingOracle:
                     key = base
                 else:
                     key = tuple(as_id_array(base).tolist())
-                if key not in self._states and key not in checked:
-                    self._check_base(key, checked)
-                    checked.add(key)
+                if key not in self._states:
+                    self._check_base(key)
             if candidates is not last:  # a sweep passes one list to every group
                 cand_arr = as_id_array(candidates)
                 self._check_ids(cand_arr)

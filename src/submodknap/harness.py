@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import math
 import os
 import sys
 import time
@@ -186,17 +187,24 @@ def _run_single(spec, objective, instance, trial):
     return value, 0, 0, 0
 
 
+def _build_instances(spec):
+    """``(objective, instances)``: the spec's objective and one
+    :class:`KnapsackInstance` per budget fraction, in the spec's order.
+    A budget that ``KnapsackInstance`` rejects raises ``ValueError``."""
+    objective, costs = build_objective(spec)
+    total = float(np.sort(costs).sum())
+    return objective, [KnapsackInstance(costs, f * total) for f in spec.budget_fractions]
+
+
 def run_experiment(spec, clock=time.perf_counter):
     """Run a spec: one record per (budget fraction, trial).
 
     Deterministic given the spec (records are bit-identical across repeats,
     including wall time when a deterministic ``clock`` is injected).
     """
-    objective, costs = build_objective(spec)
-    total = float(np.sort(costs).sum())
+    objective, instances = _build_instances(spec)
     records = []
-    for fraction in spec.budget_fractions:
-        instance = KnapsackInstance(costs, fraction * total)
+    for fraction, instance in zip(spec.budget_fractions, instances):
         for trial in range(spec.trials):
             t0 = clock()
             value, queries, rounds_alg, rounds_est = _run_single(
@@ -452,7 +460,8 @@ def adaptivity_bench(
     Holds the budget constant while the ground set grows, so the measured
     depth reflects the algorithm's scheduling rather than the solution size.
     Fits mean rounds against ``ln n`` and reports the fit quality and the
-    largest-to-smallest round ratio.  The fit needs at least two distinct
+    largest-to-smallest round ratio, inf (so a failed gate) when the
+    smallest size averages no rounds.  The fit needs at least two distinct
     sizes and the seeds must be non-negative; otherwise ``ValueError`` is
     raised before any solve.
     """
@@ -480,7 +489,7 @@ def adaptivity_bench(
     ss_res = float(((ys - predicted) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    ratio = mean_rounds[-1] / mean_rounds[0]
+    ratio = mean_rounds[-1] / mean_rounds[0] if mean_rounds[0] > 0 else math.inf
     return {
         "sizes": tuple(sizes),
         "mean_rounds": tuple(mean_rounds),
@@ -673,10 +682,13 @@ def main(argv=None):
         args = parser.parse_args(argv[:1] + tokens + argv[1:])
 
     if args.command in ("run", "sweep"):
-        # every spec is built, and so checked, before anything is solved
+        # every spec is built, and so checked, before anything is solved;
+        # the specs differ only in the algorithm, so the first one's
+        # instances are every spec's
         names = args.algorithm if args.command == "run" else args.algorithms
         try:
             specs = [_spec_from_args(args, name.strip()) for name in names.split(",")]
+            _build_instances(specs[0])
         except ValueError as exc:
             subs.choices[args.command].error(str(exc))
         _emit([rec for spec in specs for rec in run_experiment(spec)], args)

@@ -57,11 +57,16 @@ class RandBatchOutput:
 
     ``damage_count`` reports how many accepted prefixes were cut by the
     damage rule; the loop stops once it reaches the acceptance cap.
+
+    ``ceiling`` is +inf when the call queried.  When it queried nothing, it
+    is the largest density the entry filter tested: ``slackened(bound[u]) /
+    c(u)`` over the pool elements ``u`` that fit, -inf when none does.
     """
 
     accepted: tuple
     surviving: tuple
     damage_count: int = 0
+    ceiling: float = np.inf
 
 
 def get_seq(current, pool, instance, external_cost, rng):
@@ -127,9 +132,11 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
 
     Adaptive cost: one round for the initial density filter, or none when
     no pool element can clear it (an empty pool included), in which case the
-    call returns without touching the oracle, ``rng`` or ``bound``
-    (``threshold_loop`` relies on that to skip such calls from the same
-    numbers).  Then one round per prefix-drawing iteration (survivor
+    call returns without touching the oracle, ``rng`` or ``bound``, and
+    reports the largest density it tested as the output's ``ceiling``.
+    While that stays below a threshold, a later call with the same
+    ``bound`` and ``base`` over a subset of the pool queries nothing
+    either.  Then one round per prefix-drawing iteration (survivor
     refilters reuse marginals already queried in the sweep).  Each
     iteration's sweep is charged and checked in full when it is issued,
     all d + 1 rows, but a row is computed only when read: rows are read in
@@ -173,9 +180,12 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     threshold = params.threshold
     residual = instance.budget - instance.cost_of(base)
 
-    live = pool[_clears(slackened(bound[pool]), costs[pool], 0.0, threshold, residual)]
+    pool_costs = costs[pool]
+    density = slackened(bound[pool]) / pool_costs
+    fit = pool_costs <= residual
+    live = pool[(density >= threshold) & fit]
     if not live.size:
-        return RandBatchOutput((), (), 0)
+        return RandBatchOutput((), (), 0, float(density[fit].max()) if fit.any() else -np.inf)
 
     accepted = []
     accepted_cost = 0.0

@@ -419,14 +419,15 @@ class TestThresholdLoop:
 
 def _record_calls(patch):
     """Wrap ``alternating.rand_batch`` through the monkeypatch ``patch``;
-    the returned list gets ``(threshold, queried)`` for every call."""
+    the returned list gets ``(threshold, queried, pool size)`` for every
+    call."""
     calls = []
     real = alternating.rand_batch
 
     def recording(oracle, pool, params, *args, **kwargs):
         rounds = oracle.ledger.adaptive_rounds
         out = real(oracle, pool, params, *args, **kwargs)
-        calls.append((params.threshold, oracle.ledger.adaptive_rounds > rounds))
+        calls.append((params.threshold, oracle.ledger.adaptive_rounds > rounds, len(pool)))
         return out
 
     patch.setattr(alternating, "rand_batch", recording)
@@ -438,16 +439,30 @@ def _step_calls(calls, grid, epsilon):
     False when it did not, None for no call."""
     step_of = {grid.gamma * (1.0 - epsilon) ** i: i for i in range(1, grid.num_thresholds + 1)}
     steps = [None] * (grid.num_thresholds + 1)
-    for threshold, queried in calls:
+    for threshold, queried, _ in calls:
         steps[step_of[threshold]] = queried
     return steps
+
+
+def _assert_empty_calls_follow_a_shrink(calls, grid, epsilon):
+    """Between two consecutive calls of one side, from ``_record_calls``,
+    that both query nothing, the pool has shrunk: over the same pool the
+    first call's ceiling would have skipped the second."""
+    step_of = {grid.gamma * (1.0 - epsilon) ** i: i for i in range(1, grid.num_thresholds + 1)}
+    last = {}  # side -> (queried, pool size) of its latest call
+    for threshold, queried, size in calls:
+        side = step_of[threshold] % 2
+        if not queried and side in last and not last[side][0]:
+            assert size < last[side][1]
+        last[side] = (queried, size)
 
 
 class TestThresholdLoopMatchesCallingEveryStep:
     """``threshold_loop`` skips the steps under a side's ceiling without
     calling ``rand_batch``; ``naive_threshold_loop`` calls it at every step.
     Orders, snapshots, skipped steps, charges and the generator's state
-    afterwards must all be the same."""
+    afterwards must all be the same, and a side calls for nothing twice in
+    a row only over a pool that shrank in between."""
 
     @staticmethod
     def _assert_matches(monkeypatch, objective, instance, pool, grid, config, gains):
@@ -461,6 +476,7 @@ class TestThresholdLoopMatchesCallingEveryStep:
                 out = loop(oracle, instance, pool, grid, config, rng, gains)
             runs.append((out, oracle.ledger.snapshot(), rng.bit_generator.state))
         assert runs[1] == runs[0]
+        _assert_empty_calls_follow_a_shrink(calls, grid, config.epsilon)
         return _step_calls(calls, grid, config.epsilon)
 
     @pytest.mark.parametrize("estimator", ["greedy", "singleton"])
@@ -487,9 +503,8 @@ class TestThresholdLoopMatchesCallingEveryStep:
                         monkeypatch, objective, instance, rest, grid, config, gains
                     )
                     uncalled += steps[1:].count(None)
-        if kind == "signed_image_summ":
-            assert uncalled == 0  # no bounds, so every step calls
-        else:
+        # with no bounds, only a side that has nothing left that fits skips
+        if kind != "signed_image_summ":
             assert uncalled > 0
 
     @staticmethod
@@ -521,12 +536,13 @@ class TestThresholdLoopMatchesCallingEveryStep:
     def test_a_pool_the_other_side_shrinks(self, monkeypatch):
         # X's call at step 1 finds nothing, with a ceiling of 8.5, element
         # 0's density, above step 3's threshold; Y takes element 0 at step
-        # 2, so at step 3 X's ceiling over the pool left (5.0) skips without
-        # a call, and so does step 5; X queries at step 7 (threshold 4.78)
+        # 2, so X's call at step 3 finds nothing again, with the ceiling of
+        # the pool left (5.0), and step 5 skips without a call; X queries
+        # at step 7 (threshold 4.78)
         objective, instance, grid, config = self._modular_case([8.5, 5.0, 0.5])
         gains = np.array([8.5, 5.0, 0.5])
         steps = self._assert_matches(monkeypatch, objective, instance, [0, 1, 2], grid, config, gains)
-        assert steps[1:8] == [False, True, None, False, None, None, True]
+        assert steps[1:8] == [False, True, False, False, None, None, True]
 
     def test_an_empty_pool(self, monkeypatch):
         objective, instance, grid, config = self._modular_case([8.5, 5.0, 0.5])
@@ -536,10 +552,10 @@ class TestThresholdLoopMatchesCallingEveryStep:
 
 
 @pytest.mark.parametrize("objective, n, p", [("cut", 200, 0.2), ("image_summ", 500, 0.0)])
-def test_benchmark_skipped_runs_call_once(monkeypatch, objective, n, p):
-    """On both benchmark instances, a side's run of consecutive steps
-    without a query makes at most one call that queries nothing, and the
-    skipped steps are those of a loop that calls at every step."""
+def test_benchmark_empty_calls_follow_a_shrink(monkeypatch, objective, n, p):
+    """On both benchmark instances, two consecutive calls of one side that
+    query nothing have a pool shrink between them, and the skipped steps
+    are those of a loop that calls at every step."""
     built, instance = benchmark_instance(objective, n, p)
     for seed in (0, 1):
         config = AstConfig(seed=seed)
@@ -551,12 +567,8 @@ def test_benchmark_skipped_runs_call_once(monkeypatch, objective, n, p):
             reference = ast(CountingOracle(built), instance, config)
         assert result == reference
         grid = GuessGrid(result.gamma, result.num_thresholds, result.accept_cap)
+        _assert_empty_calls_follow_a_shrink(calls, grid, config.epsilon)
         steps = _step_calls(calls, grid, config.epsilon)
-        for side in (1, 2):
-            empty_calls = 0  # calls without a query since the side's last query
-            for queried in steps[side::2]:
-                empty_calls = 0 if queried else empty_calls + (queried is False)
-                assert empty_calls <= 1
         if objective == "cut":  # stale bounds keep every image_summ step live
             assert None in steps[1:]
 

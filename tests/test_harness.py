@@ -1,4 +1,5 @@
 import itertools
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -350,6 +351,8 @@ class TestCli:
             (["run", "--seed", "-1"], "seed must be non-negative"),
             (["run", "--seed", "-1", "--objective", "image_summ"], "seed must be non-negative"),
             (["sweep", "--gen-n", "1"], "at least two nodes"),
+            (["run", "--budget-fracs", "1e-320"], "budget must be finite and at least"),
+            (["sweep", "--budget-fracs", "1e-320,0.5"], "budget must be finite and at least"),
         ],
     )
     def test_bad_spec_is_a_usage_error_before_any_solve(self, monkeypatch, capsys, argv, message):
@@ -360,6 +363,14 @@ class TestCli:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
         assert solved == []
+
+    def test_an_error_inside_a_solve_is_no_usage_error(self, monkeypatch):
+        def failing_run(spec):
+            raise ValueError("raised inside a solve")
+
+        monkeypatch.setattr(harness, "run_experiment", failing_run)
+        with pytest.raises(ValueError, match="raised inside a solve"):
+            main(["run"])
 
     @pytest.mark.parametrize(
         "objective, flag", [("cut", "--graph"), ("image_summ", "--features")]
@@ -375,6 +386,12 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"argument {flag}: no such file: {missing}" in capsys.readouterr().err
         assert solved == []
+
+    @pytest.mark.parametrize("flags", [["--avg-degree", "0"], ["--budget", "1e-300"]])
+    def test_bench_rounds_without_rounds_fails(self, capsys, flags):
+        assert main(["bench-rounds", "--sizes", "8,16", "--bench-seeds", "0", *flags]) == 1
+        out = capsys.readouterr().out
+        assert "ratio = inf" in out and out.endswith("bench-rounds: FAIL\n")
 
     def test_verify_needs_two_trials(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -553,6 +570,12 @@ class TestVerificationEngines:
     def test_adaptivity_bench_needs_two_distinct_sizes(self, sizes):
         with pytest.raises(ValueError, match="two distinct"):
             adaptivity_bench(sizes=sizes, budget=2.0, seeds=(0,))
+
+    def test_adaptivity_bench_without_rounds_fails(self):
+        # no edges, so no positive singleton and no solver round at any size
+        report = adaptivity_bench(sizes=(8, 16), avg_degree=0.0, seeds=(0,))
+        assert report["mean_rounds"] == (0.0, 0.0)
+        assert report["round_ratio"] == math.inf and report["passed"] is False
 
     def test_adaptivity_bench_smoke(self):
         report = adaptivity_bench(sizes=(24, 48), budget=2.0, seeds=(0,), base_seed=3)

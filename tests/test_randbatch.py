@@ -15,6 +15,7 @@ from submodknap import (
     rand_batch,
     similarity_from_features,
 )
+from submodknap.randbatch import slackened
 from conftest import GainsLog
 
 
@@ -151,6 +152,44 @@ class TestRandBatch:
         assert out.accepted == out.surviving == ()
         assert oracle.ledger.snapshot() == (0, 0)
         assert bound.tolist() == [0.5, 0.9, 0.0]
+
+    def test_ceiling_is_the_largest_density_the_filter_tested(self):
+        graph = gen_erdos_renyi(30, 0.3, seed=2)
+        instance = KnapsackInstance(graph.node_costs, 0.3 * float(graph.node_costs.sum()))
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            base = tuple(int(e) for e in rng.choice(30, size=int(rng.integers(0, 4)), replace=False))
+            pool = [e for e in range(30) if e not in base and rng.random() < 0.6]
+            bound = rng.random(30) * 10.0
+            costs = instance.costs[pool]
+            fit = costs <= instance.budget - instance.cost_of(base)
+            if not fit.any():
+                continue
+            expected = (slackened(bound[pool][fit]) / costs[fit]).max()
+            oracle = CountingOracle(CutObjective(graph))
+            for threshold in (np.nextafter(expected, np.inf), 2.0 * expected):
+                out = rand_batch(
+                    oracle, pool, RandBatchParams(float(threshold), 5), instance,
+                    np.random.default_rng(0), base=base, bound=bound,
+                )
+                assert out.accepted == () and oracle.ledger.snapshot() == (0, 0)
+                assert out.ceiling.hex() == float(expected).hex()
+            # at the ceiling itself the filter's >= lets the best element in
+            out = rand_batch(
+                oracle, pool, RandBatchParams(float(expected), 5), instance,
+                np.random.default_rng(0), base=base, bound=bound,
+            )
+            assert oracle.ledger.adaptive_rounds > 0 and out.ceiling == math.inf
+
+    def test_ceiling_with_nothing_that_fits_is_minus_inf(self):
+        oracle, instance = modular_setup([5.0, 4.0, 6.0], [1.0, 3.0, 3.0], 2.0)
+        for pool, base in (((), ()), ((1, 2), ()), ((1, 2), (0,)), ((), (0,))):
+            out = rand_batch(
+                oracle, pool, RandBatchParams(1.0, 5), instance, np.random.default_rng(0),
+                base=base, bound=np.full(3, np.inf),
+            )
+            assert out.ceiling == -math.inf
+        assert oracle.ledger.snapshot() == (0, 0)
 
     def test_out_of_range_pool_ids_are_rejected(self):
         # checked before the bounds are indexed, whether or not any is live
