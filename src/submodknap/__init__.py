@@ -19,7 +19,6 @@ from .estimator import (
     ESTIMATORS,
     GuessGrid,
     OptEstimate,
-    estimate_best_singleton,
     estimate_greedy,
     gamma_and_guesses,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "brute_force_opt",
     "density_greedy",
     "density_greedy_trace",
-    "estimate_best_singleton",
     "estimate_greedy",
     "gamma_and_guesses",
     "gen_erdos_renyi",

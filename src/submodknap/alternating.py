@@ -34,23 +34,20 @@ _value = itemgetter(1)  # the value of an (ids, value) candidate
 class AstConfig:
     """Parameters of one solver run.
 
-    alpha, epsilon, delta shape the threshold grid (and the boost round
-    draws ``ceil(1/epsilon)`` random subsets); the seed fixes every random
-    draw; ``estimator`` names the entry of ``ESTIMATORS`` that seeds the grid.
+    epsilon and delta shape the threshold grid (and the boost round draws
+    ``ceil(1/epsilon)`` random subsets); the seed fixes every random draw.
+    The grid's alpha is fixed at 1/7, the value the 7 + epsilon analysis
+    uses, and density greedy (``ESTIMATORS["greedy"]``) seeds it.
     """
 
-    alpha: float = 1.0 / 7.0
     epsilon: float = 0.1
     delta: float = 0.12
     seed: int = 0
-    estimator: str = "greedy"
 
     def __post_init__(self):
-        check_grid_params(self.alpha, self.epsilon, self.delta)
+        check_grid_params(self.epsilon, self.delta)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator: {self.estimator!r}")
 
 
 @dataclass
@@ -352,8 +349,8 @@ def ast(oracle, instance, config=None):
 
     Deterministic given ``config.seed``: the one generator is consumed in a
     fixed order (threshold loop draws, then boost-phase subset draws).  The
-    estimator configured in ``config`` runs first and its oracle traffic is
-    reported separately so the solver's own adaptivity stays visible.
+    estimator runs first and its oracle traffic is reported separately so
+    the solver's own adaptivity stays visible.
     """
     if config is None:
         config = AstConfig()
@@ -365,7 +362,7 @@ def ast(oracle, instance, config=None):
 
     tiny, rest = split_ground(instance, config.epsilon)
 
-    estimate = ESTIMATORS[config.estimator](oracle, instance)
+    estimate = ESTIMATORS["greedy"](oracle, instance)
     est_queries, est_rounds = ledger.snapshot()
     estimator_queries = est_queries - start_queries
     estimator_rounds = est_rounds - start_rounds
@@ -387,11 +384,7 @@ def ast(oracle, instance, config=None):
         )
 
     grid = gamma_and_guesses(
-        estimate.value,
-        instance.budget,
-        alpha=config.alpha,
-        epsilon=config.epsilon,
-        delta=config.delta,
+        estimate.value, instance.budget, epsilon=config.epsilon, delta=config.delta
     )
 
     x_order, y_order, x_after_first, y_after_second, skipped = threshold_loop(

@@ -30,7 +30,6 @@ import numpy as np
 from .alternating import AstConfig, ast
 from .baselines import brute_force_opt, density_greedy, random_feasible
 from .core import CountingOracle, KnapsackInstance
-from .estimator import ESTIMATORS
 from .objectives import (
     CutObjective,
     ImageSummaryObjective,
@@ -202,7 +201,14 @@ def run_experiment(spec, clock=time.perf_counter):
     Deterministic given the spec (records are bit-identical across repeats,
     including wall time when a deterministic ``clock`` is injected).
     """
-    objective, instances = _build_instances(spec)
+    return run_built(spec, _build_instances(spec), clock)
+
+
+def run_built(spec, built, clock=time.perf_counter):
+    """:func:`run_experiment` on ``built``, the spec's ``(objective,
+    instances)`` as ``_build_instances`` returns them: specs that differ
+    only in the algorithm share one build."""
+    objective, instances = built
     records = []
     for fraction, instance in zip(spec.budget_fractions, instances):
         for trial in range(spec.trials):
@@ -570,9 +576,7 @@ def _add_common_options(sub):
     sub.add_argument("--trials", type=int, default=1)
     sub.add_argument("--epsilon", type=float, default=solver.epsilon)
     sub.add_argument("--delta", type=float, default=solver.delta)
-    sub.add_argument("--alpha", type=float, default=solver.alpha)
     sub.add_argument("--seed", type=int, default=solver.seed)
-    sub.add_argument("--estimator", choices=sorted(ESTIMATORS), default=solver.estimator)
     sub.add_argument("--out-csv", help="write records here")
     sub.add_argument("--out-svg", help="write a value-vs-budget chart here")
     sub.add_argument(
@@ -596,13 +600,7 @@ def _source(args):
 
 
 def _spec_from_args(args, algorithm):
-    config = AstConfig(
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        seed=args.seed,
-        estimator=args.estimator,
-    )
+    config = AstConfig(epsilon=args.epsilon, delta=args.delta, seed=args.seed)
     return ExperimentSpec(
         algorithm=algorithm,
         objective=args.objective,
@@ -688,10 +686,10 @@ def main(argv=None):
         names = args.algorithm if args.command == "run" else args.algorithms
         try:
             specs = [_spec_from_args(args, name.strip()) for name in names.split(",")]
-            _build_instances(specs[0])
+            built = _build_instances(specs[0])
         except ValueError as exc:
             subs.choices[args.command].error(str(exc))
-        _emit([rec for spec in specs for rec in run_experiment(spec)], args)
+        _emit([rec for spec in specs for rec in run_built(spec, built)], args)
         return 0
 
     if args.command == "verify":

@@ -25,11 +25,12 @@ offers it can be solved:
   outside ``base``; ``state`` itself is left unchanged;
 - ``gains(state, candidates)``: the marginal gains ``f(u | base)`` of every
   candidate in one vectorized pass, exactly ``0.0`` for a candidate already
-  in ``base`` (candidates may repeat).  Each candidate's gain is computed
-  apart from the others', so the gains of a subset are bit for bit those
-  entries of the whole list's: ``gains(state, candidates[pos])`` equals
-  ``gains(state, candidates)[pos]``.  The oracle relies on this to compute
-  only the gains a caller reads;
+  in ``base`` (candidates may repeat).  ``candidates`` is an ``intp`` array
+  of ids the oracle has already checked, so ``gains`` neither converts nor
+  checks it.  Each candidate's gain is computed apart from the others', so
+  the gains of a subset are bit for bit those entries of the whole list's:
+  ``gains(state, candidates[pos])`` equals ``gains(state, candidates)[pos]``.
+  The oracle relies on this to compute only the gains a caller reads;
 - ``submodular``: a read-only flag, computed from the objective's input,
   that is True when gains can only fall as the base grows.  The solver's
   gain bounds and density greedy's pruning of dead elements are used only
@@ -279,11 +280,10 @@ class CutObjective(_GraphObjective):
         crossing = ~inside[self._indices[pos]]
         return float(self._data[pos][crossing].sum())
 
-    def gains(self, state, candidates):
+    def gains(self, state, cands):
         """``deg(u) - 2 w(u, base)``: u's edges into ``base`` stop crossing,
         its other edges start to."""
         weight_to, inside = state
-        cands = as_id_array(candidates)
         return np.where(inside[cands], 0.0, self._degrees[cands] - 2.0 * weight_to[cands])
 
 
@@ -299,12 +299,11 @@ class RevenueObjective(_GraphObjective):
         weight_to = np.bincount(self._indices[pos], weights=self._data[pos], minlength=self.n)
         return float(np.sqrt(weight_to[~_members(self.n, ids)]).sum())
 
-    def gains(self, state, candidates):
+    def gains(self, state, cands):
         """Each outside neighbour v of u gains ``sqrt(I(v) + w(u, v)) -
         sqrt(I(v))``, and u stops paying ``sqrt(I(u))``, where ``I`` is the
         edge weight from ``base``."""
         influence, inside = state
-        cands = as_id_array(candidates)
         pos = _row_block_positions(self._indptr, cands)
         nbrs = self._indices[pos]
         before = influence[nbrs]
@@ -349,12 +348,11 @@ class ImageSummaryObjective:
         cur = row.copy() if cur is None else np.maximum(cur, row)
         return cur, _with_member(inside, e)
 
-    def gains(self, state, candidates):
+    def gains(self, state, cands):
         """``sum_i max(sim[i, u] - cur_i, 0) - colsum[u] / n``, where
         ``cur_i`` is row i's best similarity into ``base`` (for the empty
         base, ``sum_i sim[i, u] - colsum[u] / n``)."""
         cur, inside = state
-        cands = as_id_array(candidates)
         rows = self._sim[cands]  # row u is column u: the matrix is symmetric
         if cur is not None:
             rows -= cur
@@ -391,8 +389,7 @@ class ModularObjective:
     def extend(self, inside, e):
         return _with_member(inside, e)
 
-    def gains(self, inside, candidates):
-        cands = as_id_array(candidates)
+    def gains(self, inside, cands):
         return np.where(inside[cands], 0.0, self.values[cands])
 
 
@@ -423,8 +420,7 @@ class SumObjective:
     def extend(self, state, e):
         return tuple(p.extend(s, e) for p, s in zip(self.parts, state))
 
-    def gains(self, state, candidates):
-        cands = as_id_array(candidates)
+    def gains(self, state, cands):
         return sum(p.gains(s, cands) for p, s in zip(self.parts, state))
 
 

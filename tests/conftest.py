@@ -4,7 +4,8 @@ from-scratch objective references used as independent oracles."""
 import numpy as np
 import pytest
 
-from submodknap import KnapsackInstance, WeightedGraph, harness
+from submodknap import KnapsackInstance, OptEstimate, WeightedGraph, harness
+from submodknap.estimator import best_singleton
 from submodknap.randbatch import RandBatchParams, rand_batch
 
 
@@ -65,6 +66,19 @@ def benchmark_instance(objective, n, p):
     spec = harness.ExperimentSpec("ast", objective, harness.GenerateSource(n, p, 0))
     built, costs = harness.build_objective(spec)
     return built, KnapsackInstance(costs, 0.1 * float(np.sort(costs).sum()))
+
+
+def best_singleton_estimate(oracle, instance):
+    """The best feasible single element as an ``OptEstimate``, from one
+    marginal batch over the elements that fit alone; its ``singleton_gains``
+    are those gains, +inf for the rest.  In place of ``ESTIMATORS["greedy"]``
+    it seeds the solver's grid low."""
+    gains = np.full(instance.n, np.inf)
+    fits = np.nonzero(instance.costs <= instance.budget)[0]
+    if fits.size:
+        gains[fits] = oracle.marginal_batch((), fits)
+    solution, _ = best_singleton(gains)
+    return OptEstimate(solution, oracle.exact_value(solution), gains)
 
 
 def state_of(objective, base):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from submodknap import (
     ast,
     augment_prefixes,
     brute_force_opt,
-    estimate_best_singleton,
     gen_erdos_renyi,
     revenue_costs,
     similarity_from_features,
@@ -26,7 +27,17 @@ from submodknap import alternating
 from submodknap.alternating import threshold_loop
 from submodknap.estimator import gamma_and_guesses
 from submodknap.randbatch import slackened
-from conftest import GainsLog, benchmark_instance, naive_augment_prefixes, naive_threshold_loop
+from conftest import (
+    GainsLog,
+    benchmark_instance,
+    best_singleton_estimate,
+    naive_augment_prefixes,
+    naive_threshold_loop,
+)
+
+# the estimates that seed a grid: density greedy's, and a low one from the
+# best feasible singleton
+ESTIMATES = {"greedy": ESTIMATORS["greedy"], "singleton": best_singleton_estimate}
 
 
 class TestSplitGround:
@@ -198,23 +209,24 @@ def _random_order(instance, rng):
 
 
 class TestAugmentPrefixesMatchesNaive:
-    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("estimator", ESTIMATES)
     @pytest.mark.parametrize("kind", DIFFERENTIAL_KINDS)
-    def test_solver_and_random_orders(self, kind, estimator):
-        # the solver's own orders with the estimator's singleton gains, and
-        # random feasible orders with those gains and with none; rows are
-        # ruled out only with bounds, and then on every kind but image_summ,
-        # where a prefix's value plus the largest singleton gain is far
-        # above the full order's value
+    def test_solver_and_random_orders(self, monkeypatch, kind, estimator):
+        # the solver's own orders, on the estimate's grid, with the
+        # estimate's singleton gains, and random feasible orders with those
+        # gains and with none; rows are ruled out only with bounds, and then
+        # on every kind but image_summ, where a prefix's value plus the
+        # largest singleton gain is far above the full order's value
+        monkeypatch.setitem(ESTIMATORS, "greedy", ESTIMATES[estimator])
         rng = np.random.default_rng(
-            [DIFFERENTIAL_KINDS.index(kind), sorted(ESTIMATORS).index(estimator)]
+            [DIFFERENTIAL_KINDS.index(kind), list(ESTIMATES).index(estimator)]
         )
         ruled = 0
         for budget_fraction in (0.1, 0.3):
             objective, costs = _differential_case(kind, rng)
             instance = KnapsackInstance(costs, budget_fraction * float(np.sort(costs).sum()))
-            gains = ESTIMATORS[estimator](CountingOracle(objective), instance).singleton_gains
-            result = ast(CountingOracle(objective), instance, AstConfig(seed=3, estimator=estimator))
+            gains = ESTIMATES[estimator](CountingOracle(objective), instance).singleton_gains
+            result = ast(CountingOracle(objective), instance, AstConfig(seed=3))
             for name, order in (("best_x_aug", result.x_order), ("best_y_aug", result.y_order)):
                 naive_best, out = _assert_matches_naive(objective, instance, order, gains)
                 assert result.candidates.get(name) == naive_best
@@ -256,7 +268,7 @@ class TestAugmentPrefixesMatchesNaive:
         # joining element's bound becomes 0
         objective = ModularObjective([-1.0, -5.0, -2.0, -3.0])
         instance = KnapsackInstance(np.ones(4), 4.0)
-        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        gains = best_singleton_estimate(CountingOracle(objective), instance).singleton_gains
         assert gains.tolist() == [-1.0, -5.0, -2.0, -3.0]
         best, _ = _assert_matches_naive(objective, instance, (1, 2), gains)
         assert best == ((1,), -5.0)
@@ -268,7 +280,7 @@ class TestAugmentPrefixesMatchesNaive:
         objective = ModularObjective([100.0, 5.0, 5.0])
         instance = KnapsackInstance(np.array([0.3, 0.2, 0.1]), 0.6)
         assert instance.feasible((2, 1, 0)) and 0.1 + 0.2 + 0.3 > 0.6
-        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        gains = best_singleton_estimate(CountingOracle(objective), instance).singleton_gains
         best, _ = _assert_matches_naive(objective, instance, (2, 1, 0), gains)
         assert best == ((2, 1, 0), 110.0)
 
@@ -279,7 +291,7 @@ class TestAugmentPrefixesMatchesNaive:
         # not take 3
         objective = ModularObjective([100.0, 5.0, 5.0, 50.0])
         instance = KnapsackInstance(np.array([0.3, 0.2, 0.1, 0.25]), 0.6)
-        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        gains = best_singleton_estimate(CountingOracle(objective), instance).singleton_gains
         best, _ = _assert_matches_naive(objective, instance, (2, 1, 0), gains)
         assert best == ((2, 1, 0), 110.0)
 
@@ -288,7 +300,7 @@ class TestAugmentPrefixesMatchesNaive:
         # order element, but 1 wins
         objective = ModularObjective([1.0, 3.0, 3.0, 3.0])
         instance = KnapsackInstance(np.ones(4), 2.0)
-        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        gains = best_singleton_estimate(CountingOracle(objective), instance).singleton_gains
         best, _ = _assert_matches_naive(objective, instance, (0, 3), gains)
         assert best == ((0, 1), 4.0)
 
@@ -298,7 +310,7 @@ class TestAugmentPrefixesMatchesNaive:
         # 2 among the elements read
         objective = _RisingModular([1.0, 2.0, 2.0, 2.0], [0.0, 0.0, 2e-10, 1e-10])
         instance = KnapsackInstance(np.ones(4), 2.0)
-        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        gains = best_singleton_estimate(CountingOracle(objective), instance).singleton_gains
         best, _ = _assert_matches_naive(objective, instance, (0, 3), gains)
         assert best == ((0, 2), 3.0)
 
@@ -308,7 +320,7 @@ class TestAugmentPrefixesMatchesNaive:
         # (0, 1, 3), although (0, 2) is worth 1e-10 more
         objective = _RisingModular([1.0, 1.0, 2.0 + 1e-10, 1.0], [0.0, 0.0, 0.0, 1e-10])
         instance = KnapsackInstance(np.array([1.0, 1.0, 2.0, 1.0]), 3.0)
-        gains = estimate_best_singleton(CountingOracle(objective), instance).singleton_gains
+        gains = best_singleton_estimate(CountingOracle(objective), instance).singleton_gains
         best, _ = _assert_matches_naive(objective, instance, (0, 1, 3), gains)
         assert best[0] == (0, 2) and best[1] > objective((0, 1, 3))
 
@@ -366,7 +378,7 @@ def test_benchmark_augmentation_reads_few_argmaxes(objective, n, p):
 class TestConfigValidation:
     def test_benchmark_defaults(self):
         config = AstConfig()
-        assert config.alpha == pytest.approx(1.0 / 7.0)
+        assert [f.name for f in fields(AstConfig)] == ["epsilon", "delta", "seed"]
         assert config.epsilon == 0.1
         assert config.delta == 0.12
 
@@ -375,10 +387,6 @@ class TestConfigValidation:
             AstConfig(epsilon=0.2)
         with pytest.raises(ValueError):
             AstConfig(delta=0.2)
-        with pytest.raises(ValueError):
-            AstConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            AstConfig(estimator="nope")
         # 1 - epsilon rounds to 1: the grid's ratio of logs would divide by 0
         for epsilon in (1e-17, 2.0**-54):
             with pytest.raises(ValueError, match="too small"):
@@ -394,8 +402,7 @@ class TestThresholdLoop:
         config = AstConfig(seed=2)
         estimate = ESTIMATORS["greedy"](CountingOracle(objective), instance)
         grid = gamma_and_guesses(
-            estimate.value, instance.budget,
-            alpha=config.alpha, epsilon=config.epsilon, delta=config.delta,
+            estimate.value, instance.budget, epsilon=config.epsilon, delta=config.delta
         )
         _, rest = split_ground(instance, config.epsilon)
         pools = [
@@ -479,7 +486,7 @@ class TestThresholdLoopMatchesCallingEveryStep:
         _assert_empty_calls_follow_a_shrink(calls, grid, config.epsilon)
         return _step_calls(calls, grid, config.epsilon)
 
-    @pytest.mark.parametrize("estimator", ["greedy", "singleton"])
+    @pytest.mark.parametrize("estimator", ESTIMATES)
     @pytest.mark.parametrize(
         "kind", ["cut", "revenue", "modular", "sum", "image_summ", "signed_image_summ"]
     )
@@ -489,15 +496,11 @@ class TestThresholdLoopMatchesCallingEveryStep:
         for fraction in (0.1, 0.3, 0.6):
             objective, costs = _differential_case(kind, rng)
             instance = KnapsackInstance(costs, fraction * float(np.sort(costs).sum()))
-            config = AstConfig(estimator=estimator)
-            estimate = ESTIMATORS[estimator](CountingOracle(objective), instance)
-            grid = gamma_and_guesses(
-                estimate.value, instance.budget,
-                alpha=config.alpha, epsilon=config.epsilon, delta=config.delta,
-            )
-            _, rest = split_ground(instance, config.epsilon)
+            estimate = ESTIMATES[estimator](CountingOracle(objective), instance)
+            grid = gamma_and_guesses(estimate.value, instance.budget)
+            _, rest = split_ground(instance, AstConfig().epsilon)
             for seed in (0, 1):
-                config = AstConfig(seed=seed, estimator=estimator)
+                config = AstConfig(seed=seed)
                 for gains in (estimate.singleton_gains, None):
                     steps = self._assert_matches(
                         monkeypatch, objective, instance, rest, grid, config, gains
@@ -573,9 +576,9 @@ def test_benchmark_empty_calls_follow_a_shrink(monkeypatch, objective, n, p):
             assert None in steps[1:]
 
 
-def run_small(objective, instance, seed=0, **kwargs):
+def run_small(objective, instance, seed=0):
     oracle = CountingOracle(objective)
-    result = ast(oracle, instance, AstConfig(seed=seed, **kwargs))
+    result = ast(oracle, instance, AstConfig(seed=seed))
     return oracle, result
 
 
@@ -655,15 +658,16 @@ class TestEndToEnd:
         for name, (ids, _) in result.candidates.items():
             assert instance.feasible(ids), name
 
-    def test_modular_absorbs_everything_in_first_step(self):
+    def test_modular_absorbs_everything_in_first_step(self, monkeypatch):
         # uniform density 4 with a singleton estimate of 4 puts the top of
         # the threshold grid at 8a*4*(1-eps)/((1-8d)*eps*B) ~ 3.99, just
         # under every density, so the first step takes the whole pool and the
         # second candidate never sees an element
+        monkeypatch.setitem(ESTIMATORS, "greedy", best_singleton_estimate)
         values = np.full(30, 4.0)
         objective = ModularObjective(values)
         instance = KnapsackInstance(np.ones(30), 258.0)
-        _, result = run_small(objective, instance, seed=8, estimator="singleton")
+        _, result = run_small(objective, instance, seed=8)
         assert sorted(result.x_after_first) == list(range(30))
         assert result.y_order == ()
         assert result.value == 120.0
@@ -687,15 +691,15 @@ class TestEndToEnd:
         # +inf: the first step of each side then queries its whole pool,
         # and the outputs stay the same
         def no_gains(oracle, instance):
-            estimate = ESTIMATORS["greedy"](oracle, instance)
+            estimate = ESTIMATES["greedy"](oracle, instance)
             return OptEstimate(estimate.solution, estimate.value)
 
-        monkeypatch.setitem(ESTIMATORS, "bare", no_gains)
         graph = gen_erdos_renyi(20, 0.4, seed=11)
         objective = CutObjective(graph)
         instance = KnapsackInstance(graph.node_costs, 0.3 * float(graph.node_costs.sum()))
         oracle, result = run_small(objective, instance, seed=12)
-        bare_oracle, bare = run_small(objective, instance, seed=12, estimator="bare")
+        monkeypatch.setitem(ESTIMATORS, "greedy", no_gains)
+        bare_oracle, bare = run_small(objective, instance, seed=12)
         assert (bare.solution, bare.x_order, bare.y_order, bare.value) == (
             result.solution, result.x_order, result.y_order, result.value
         )

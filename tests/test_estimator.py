@@ -8,7 +8,6 @@ from submodknap import (
     ModularObjective,
     OptEstimate,
     brute_force_opt,
-    estimate_best_singleton,
     estimate_greedy,
     gamma_and_guesses,
     ast,
@@ -77,29 +76,6 @@ class TestEstimateGreedy:
         instance = KnapsackInstance(graph.node_costs, 0.5 * float(graph.node_costs.sum()))
         est = estimate_greedy(CountingOracle(objective), instance)
         assert est.value == objective(np.asarray(est.solution, dtype=np.intp))
-
-
-class TestEstimateBestSingleton:
-    def test_picks_best_feasible(self):
-        oracle = CountingOracle(ModularObjective([3.0, 9.0, 5.0]))
-        instance = KnapsackInstance(np.array([1.0, 5.0, 1.0]), 2.0)
-        est = estimate_best_singleton(oracle, instance)
-        assert est.solution == (2,)  # element 1 does not fit
-        assert est.value == 5.0
-
-    def test_single_round(self):
-        oracle = CountingOracle(ModularObjective([3.0, 9.0, 5.0]))
-        instance = KnapsackInstance(np.ones(3), 2.0)
-        estimate_best_singleton(oracle, instance)
-        assert oracle.ledger.adaptive_rounds == 1
-
-
-    def test_nothing_fits_makes_no_query(self):
-        oracle = CountingOracle(ModularObjective([3.0, 9.0]))
-        est = estimate_best_singleton(oracle, KnapsackInstance(np.array([2.0, 3.0]), 1.0))
-        assert est.solution == () and est.value == 0.0
-        assert est.singleton_gains.tolist() == [np.inf, np.inf]
-        assert oracle.ledger.snapshot() == (0, 0)
 
 
 class TestBestSingleton:

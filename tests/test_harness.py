@@ -275,7 +275,7 @@ class TestConfigFile:
         for line, flag in [
             ("trials = two", "--trials"),
             ("svg_y = bogus", "--svg-y"),
-            ("estimator = nope", "--estimator"),
+            ("objective = nope", "--objective"),
         ]:
             cfg.write_text(line + "\n")
             with pytest.raises(SystemExit) as exit_info:
@@ -288,11 +288,11 @@ def captured_specs(monkeypatch, argv):
     """Specs the CLI would run for ``argv``, without running them."""
     specs = []
 
-    def fake_run(spec):
+    def fake_run(spec, built):
         specs.append(spec)
         return []
 
-    monkeypatch.setattr(harness, "run_experiment", fake_run)
+    monkeypatch.setattr(harness, "run_built", fake_run)
     assert main(argv) == 0
     return specs
 
@@ -310,6 +310,36 @@ class TestCli:
         specs = captured_specs(monkeypatch, ["sweep", "--epsilon", "0.05"])
         assert [s.algorithm for s in specs] == ["ast", "density_greedy", "random_feasible"]
         assert all(s.config == AstConfig(epsilon=0.05) for s in specs)
+
+    def test_sweep_builds_the_objective_once(self, monkeypatch, capsys):
+        builds = []
+
+        def counted(spec):
+            builds.append(spec)
+            return build_objective(spec)
+
+        monkeypatch.setattr(harness, "build_objective", counted)
+        assert main(["sweep", "--gen-n", "20", "--budget-fracs", "0.3,0.6"]) == 0
+        assert len(builds) == 1
+        assert capsys.readouterr().out.count("frac=") == 6  # 3 algorithms x 2 fractions
+
+    # alpha is fixed at 1/7 and density greedy is the one estimator, so
+    # neither is a flag or a config-file key
+    @pytest.mark.parametrize("flag", ["--alpha=0.2", "--estimator=greedy"])
+    def test_removed_solver_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alpha", "estimator"])
+    def test_removed_solver_keys_are_usage_errors(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = greedy\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert f"unknown keys: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "objective, flags, rejected",
@@ -357,7 +387,7 @@ class TestCli:
     )
     def test_bad_spec_is_a_usage_error_before_any_solve(self, monkeypatch, capsys, argv, message):
         solved = []
-        monkeypatch.setattr(harness, "run_experiment", solved.append)
+        monkeypatch.setattr(harness, "run_built", lambda spec, built: solved.append(spec))
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -365,10 +395,10 @@ class TestCli:
         assert solved == []
 
     def test_an_error_inside_a_solve_is_no_usage_error(self, monkeypatch):
-        def failing_run(spec):
+        def failing_run(spec, built):
             raise ValueError("raised inside a solve")
 
-        monkeypatch.setattr(harness, "run_experiment", failing_run)
+        monkeypatch.setattr(harness, "run_built", failing_run)
         with pytest.raises(ValueError, match="raised inside a solve"):
             main(["run"])
 
@@ -379,7 +409,7 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, objective, flag
     ):
         solved = []
-        monkeypatch.setattr(harness, "run_experiment", solved.append)
+        monkeypatch.setattr(harness, "run_built", lambda spec, built: solved.append(spec))
         missing = tmp_path / "absent.txt"
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--objective", objective, flag, str(missing)])

@@ -22,6 +22,7 @@ import pytest
 
 import submodknap
 import submodknap.harness  # noqa: F401  (``_build`` reads ``package.harness``)
+from conftest import best_singleton_estimate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,6 +43,9 @@ def _import_baseline():
 baseline = _import_baseline()
 
 KINDS = ("cut", "revenue", "image_summ", "modular+cut")
+# the estimate that seeds both solvers' grids: density greedy's, or a low
+# one from the best feasible singleton, each package's own put in place of
+# its greedy estimator
 ESTIMATORS = ("greedy", "singleton")
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
@@ -62,8 +66,8 @@ def _build(package, kind, config, n=30):
     return package.harness.build_objective(spec)
 
 
-def _solve(package, kind, estimator, fraction, seed, n=30):
-    config = package.AstConfig(seed=seed, estimator=estimator)
+def _solve(package, kind, fraction, seed, n=30):
+    config = package.AstConfig(seed=seed)
     objective, costs = _build(package, kind, config, n)
     instance = package.KnapsackInstance(costs, fraction * float(np.sort(costs).sum()))
     oracle = package.CountingOracle(objective)
@@ -89,10 +93,13 @@ def _outputs(result):
 @pytest.mark.parametrize("fraction", FRACTIONS)
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_same_outputs_fewer_queries(kind, estimator, fraction):
+def test_same_outputs_fewer_queries(monkeypatch, kind, estimator, fraction):
+    if estimator == "singleton":
+        monkeypatch.setitem(submodknap.ESTIMATORS, "greedy", best_singleton_estimate)
+        monkeypatch.setitem(baseline.ESTIMATORS, "greedy", baseline.estimate_best_singleton)
     seed = FRACTIONS.index(fraction)
-    result, (queries, rounds), costs = _solve(submodknap, kind, estimator, fraction, seed)
-    old, (old_queries, old_rounds), old_costs = _solve(baseline, kind, estimator, fraction, seed)
+    result, (queries, rounds), costs = _solve(submodknap, kind, fraction, seed)
+    old, (old_queries, old_rounds), old_costs = _solve(baseline, kind, fraction, seed)
     assert np.array_equal(costs, old_costs)
     assert result.num_thresholds > 0  # a non-trivial solve
     assert _outputs(result) == _outputs(old)
@@ -106,8 +113,8 @@ def test_same_outputs_fewer_queries(kind, estimator, fraction):
 def test_mid_size_same_outputs_fewer_queries(kind, n, fraction):
     # long sweeps; the cut solve uses 417 distinct bases, more than the
     # oracle's cache holds, so it also runs past evictions
-    result, (queries, rounds), costs = _solve(submodknap, kind, "greedy", fraction, 0, n)
-    old, (old_queries, old_rounds), old_costs = _solve(baseline, kind, "greedy", fraction, 0, n)
+    result, (queries, rounds), costs = _solve(submodknap, kind, fraction, 0, n)
+    old, (old_queries, old_rounds), old_costs = _solve(baseline, kind, fraction, 0, n)
     assert np.array_equal(costs, old_costs)
     assert result.num_thresholds > 0
     assert _outputs(result) == _outputs(old)
