@@ -106,8 +106,8 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     fall, so they are used only when the objective is ``submodular``; on
     any other objective every step filters its whole fitting pool.  Returns
     both selection orders, snapshots of the first candidate after step one
-    and the second after step two, and the number of such skipped steps
-    with a non-empty pool.
+    and the second after step two, the number of such skipped steps with a
+    non-empty pool, and each side's copies of its bounds (below).
 
     Each side keeps the ``ceiling`` of its last ``rand_batch`` call (+inf
     after a query) and skips, without a call, the steps whose threshold is
@@ -117,10 +117,26 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     would query nothing either.  A step whose threshold the ceiling
     reaches calls; over a pool the other side has shrunk since, the call
     may again query nothing and return a lower ceiling.
+
+    Bound copies.  After each call that queried, on a ``submodular``
+    objective, the side keeps ``(len(order), bounds.copy())``, with its
+    order as extended by the call; the sixth item returned is the pair of
+    these lists, X's then Y's, empty on any other objective.  Each copy
+    ``(L, b)`` bounds, within ``slackened``, the gain of every element
+    outside ``order[:i]`` past ``order[:i]`` for every ``i >= L`` of the
+    side's final order.  An entry of ``b`` is the singleton gain ``f({u})``
+    or a gain read by the side's calls up to then: a filter gain past the
+    call's base, or a gain of sweep row t*, past the base plus the accepted
+    prefix.  Each of those bases is ``order[:k]`` for some ``k <= L``,
+    since the order only grows at its end, so it is a subset of
+    ``order[:i]``; and by submodularity ``f(u | A) >= f(u | B)`` for ``A``
+    a subset of ``B`` and ``u`` outside ``B``.  ``augment_prefixes`` starts
+    its bounds from them.
     """
     xs, ys = [], []
     start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
     bounds = (start.copy(), start.copy())
+    copies = ([], [])
     ceilings = [math.inf, math.inf]
     pool = as_id_array(pool)
     taken = np.zeros(instance.n, dtype=bool)
@@ -147,15 +163,17 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
                 order.extend(out.accepted)
                 taken[list(out.accepted)] = True
                 pool = pool[~taken[pool]]
+            if use_bounds and ledger.adaptive_rounds > rounds:
+                copies[side].append((len(order), bounds[side].copy()))
         skipped += pool.size > 0 and ledger.adaptive_rounds == rounds
         if i == 1:
             x_after_first = tuple(xs)
         elif i == 2:
             y_after_second = tuple(ys)
-    return tuple(xs), tuple(ys), x_after_first, y_after_second, skipped
+    return tuple(xs), tuple(ys), x_after_first, y_after_second, skipped, copies
 
 
-def augment_prefixes(oracle, instance, order, singleton_gains=None):
+def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=()):
     """Try every prefix of ``order`` with its best feasible extra element.
 
     All prefix extensions plus the full set itself are charged in one
@@ -174,7 +192,17 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None):
     its gain from then on.  Each prefix's row is read in two steps: the
     gains of the next order element and of the element with the highest
     bound, then those of the elements whose bound, raised by ``slackened``,
-    reaches the larger of the two; nobody else can win.  On any other
+    reaches the larger of the two; nobody else can win.  ``loop_bounds``
+    are ``threshold_loop``'s copies of this order's bounds, ``(L, b)``
+    pairs in the order it took them, each bounding every gain past
+    ``order[:i]`` for ``i >= L`` (the proof is in ``threshold_loop``).
+    Before row ``i`` is read, each copy with ``L <= i`` lowers the bounds
+    elementwise; singleton gains alone are loose past a one-element
+    prefix, and the sampler's gains past the same prefixes are in hand.  A
+    copy may put an earlier prefix element below its gain of 0, but any
+    prefix element augments the prefix to itself, and the newest one's
+    bound is set to 0.0 after the copies, so the row's best gain and its
+    augmented prefix stay the same.  On any other
     objective whole rows are read.  Each prefix's value is estimated back
     from the exact ``f(order)`` with the rows' gains of the next order
     element, and only the augmented prefixes whose estimate (that value
@@ -253,8 +281,13 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None):
             scale = 2.0 * abs(full_value) + abs(fwd) + 2.0 * len(order) * top
             floor = full_value - BOUND_SLACK * max(1.0, scale)
     augmented, best_gains, steps, ruled = [], [], [], []
+    copies = iter(loop_bounds)
+    copy = next(copies, None)
     for i, ((prefix, cands), nxt) in enumerate(zip(groups[1:], nexts), start=1):
         if bound is not None:
+            while copy is not None and copy[0] <= i:
+                np.minimum(bound, copy[1], out=bound)
+                copy = next(copies, None)
             bound[prefix[-1]] = 0.0  # it gains exactly 0 from here on
         if nxt is not None and fwd + top < floor:
             step = rows.read(i, np.array([nxt], dtype=np.intp))[0]
@@ -350,7 +383,11 @@ def ast(oracle, instance, config=None):
     Deterministic given ``config.seed``: the one generator is consumed in a
     fixed order (threshold loop draws, then boost-phase subset draws).  The
     estimator runs first and its oracle traffic is reported separately so
-    the solver's own adaptivity stays visible.
+    the solver's own adaptivity stays visible.  Its singleton gains start
+    the threshold loop's bounds, and the loop's copies of each side's
+    bounds start that side's prefix augmentation, so augmentation computes
+    only the gains the sampler has not already ruled out; what is charged
+    is the same either way.
     """
     if config is None:
         config = AstConfig()
@@ -387,8 +424,8 @@ def ast(oracle, instance, config=None):
         estimate.value, instance.budget, epsilon=config.epsilon, delta=config.delta
     )
 
-    x_order, y_order, x_after_first, y_after_second, skipped = threshold_loop(
-        oracle, instance, rest, grid, config, rng, estimate.singleton_gains
+    x_order, y_order, x_after_first, y_after_second, skipped, (x_bounds, y_bounds) = (
+        threshold_loop(oracle, instance, rest, grid, config, rng, estimate.singleton_gains)
     )
     loop_queries, loop_rounds = ledger.snapshot()
 
@@ -400,8 +437,9 @@ def ast(oracle, instance, config=None):
         s1, s1_value = unsub_max(oracle, boost_ground, samples, rng)
     unsub_queries, unsub_rounds = ledger.snapshot()
 
-    x_value, x_best = augment_prefixes(oracle, instance, x_order, estimate.singleton_gains)
-    y_value, y_best = augment_prefixes(oracle, instance, y_order, estimate.singleton_gains)
+    gains = estimate.singleton_gains
+    x_value, x_best = augment_prefixes(oracle, instance, x_order, gains, x_bounds)
+    y_value, y_best = augment_prefixes(oracle, instance, y_order, gains, y_bounds)
     end_queries, end_rounds = ledger.snapshot()
 
     # the final argmax: max keeps the first of equal values, so ties go to

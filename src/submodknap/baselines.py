@@ -77,11 +77,22 @@ def density_greedy_trace(oracle, instance):
     among those with strictly positive marginal gain (ties: lowest id).
     Stops when no such element remains.
 
-    When the objective is ``submodular``, a gain can only fall as the
-    selection grows, so an element whose gain was non-positive beyond
-    rounding (``slackened(gain) <= 0``) can never be picked again.  Later
-    steps still query it, and are charged for it, but compute no gain for
-    it and rank it as a zero gain: below every positive density.
+    Every step is charged its whole batch, but when the objective is
+    ``submodular`` only the gains that can win are computed, as in the
+    accelerated greedy of Minoux (1978).  Each element keeps a ``bound``:
+    its first-step gain, lowered by every gain read later.  A gain can only
+    fall as the selection grows, so ``slackened(bound)`` bounds the
+    element's gain at every later step, rounding included.  The first step
+    reads its whole row (it yields ``singleton_gains``).  A later step reads
+    first the element of the highest bound density ``slackened(bound) /
+    cost``; if its gain is positive, only an element whose bound density
+    reaches that gain's density can match or beat it, and if not, only an
+    element whose slackened bound is positive can have a positive gain.
+    When any other element qualifies, the step reads all of them in id
+    order, the first one's gain again included, and takes the first
+    maximum density among them: the same pick, and the same tie, as a whole
+    row.  An element whose slackened bound is non-positive is never read
+    again.  On any other objective every row is read whole.
     """
     costs = instance.costs
     budget = instance.budget
@@ -92,7 +103,7 @@ def density_greedy_trace(oracle, instance):
     # ``used`` only grows, so an element that stops fitting never fits again
     fits = np.nonzero(costs <= budget)[0]
     prune = getattr(oracle.objective, "submodular", False)
-    dead = np.zeros(instance.n, dtype=bool)
+    bound = np.full(instance.n, np.inf)
     j = None  # the last pick's position in fits
     while True:
         keep = used + costs[fits] <= budget
@@ -102,23 +113,36 @@ def density_greedy_trace(oracle, instance):
         if not fits.size:
             break
         answers = oracle.evaluate_extensions([(selected, fits)])
-        live = np.flatnonzero(~dead[fits])
-        gains = np.zeros(fits.size)  # a dead element ranks as a zero gain
-        gains[live] = answers.read(0, live)
+        fit_costs = costs[fits]
+        if prune and selected:
+            ceiling = slackened(bound[fits]) / fit_costs
+            top = int(np.argmax(ceiling))
+            gains = answers.read(0, np.array([top]))
+            live = ceiling >= gains[0] / fit_costs[top] if gains[0] > 0.0 else ceiling > 0.0
+            live[top] = True
+            read = np.flatnonzero(live)
+            if read.size > 1:  # top's gain again, with the others in id order
+                gains = answers.read(0, read)
+        else:
+            read = np.arange(fits.size)
+            gains = answers[0]
         if prune:
-            dead[fits] |= slackened(gains) <= 0.0
+            ids = fits[read]
+            bound[ids] = np.minimum(bound[ids], gains)
         if not selected:
             singles[fits] = gains
-        # argmax keeps the first of equal densities: fits ascend, so ties go
-        # to the lowest id; a non-positive gain ranks below every density
-        density = np.where(gains > 0.0, gains / costs[fits], -np.inf)
-        j = int(np.argmax(density))
-        if density[j] == -np.inf:
+        # argmax keeps the first of equal densities: positions ascend, and
+        # fits ascend, so ties go to the lowest id; a non-positive gain
+        # ranks below every density
+        density = np.where(gains > 0.0, gains / fit_costs[read], -np.inf)
+        k = int(np.argmax(density))
+        if density[k] == -np.inf:
             break
+        j = int(read[k])
         best = int(fits[j])
         selected += (best,)
         used += costs[best]
-        value += gains[j]
+        value += gains[k]
     return GreedyTrace(selected, float(value), singles)
 
 

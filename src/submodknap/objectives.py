@@ -32,9 +32,9 @@ offers it can be solved:
   ``gains(state, candidates[pos])`` equals ``gains(state, candidates)[pos]``.
   The oracle relies on this to compute only the gains a caller reads;
 - ``submodular``: a read-only flag, computed from the objective's input,
-  that is True when gains can only fall as the base grows.  The solver's
-  gain bounds and density greedy's pruning of dead elements are used only
-  when it is True; an objective without the flag counts as False.
+  that is True when gains can only fall as the base grows.  The gain
+  bounds of the solver and of density greedy are used only when it is
+  True; an objective without the flag counts as False.
 
 Float and tie policy.  A gain and the difference of two from-scratch values
 are the same number up to rounding, not always bit for bit.  Gains steer

@@ -169,13 +169,15 @@ def naive_threshold_loop(oracle, instance, pool, grid, config, rng, singleton_ga
     """``threshold_loop`` calling ``rand_batch`` at every grid step.
 
     Same bounds and the same per-side order, same returns: the two orders,
-    the two snapshots and the number of steps with a non-empty pool that
-    made no query.  Nothing is skipped without a call, so every step's
-    filter runs against its own threshold.
+    the two snapshots, the number of steps with a non-empty pool that made
+    no query, and each side's ``(len(order), bounds copy)`` after every call
+    that queried, on a ``submodular`` objective.  Nothing is skipped without
+    a call, so every step's filter runs against its own threshold; a call
+    that queries nothing lowers no bound, so it keeps no copy.
     """
     xs, ys = [], []
     start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
-    sides = ((xs, start.copy()), (ys, start.copy()))
+    sides = ((xs, start.copy(), []), (ys, start.copy(), []))
     pool = [int(e) for e in pool]
     use_bounds = getattr(oracle.objective, "submodular", False)
     snapshots = [(), ()]
@@ -183,15 +185,50 @@ def naive_threshold_loop(oracle, instance, pool, grid, config, rng, singleton_ga
     for i in range(1, grid.num_thresholds + 1):
         theta = grid.gamma * (1.0 - config.epsilon) ** i
         params = RandBatchParams(threshold=theta, accept_cap=grid.accept_cap, epsilon=config.epsilon)
-        order, bound = sides[1 - i % 2]
+        order, bound, copies = sides[1 - i % 2]
         rounds = oracle.ledger.adaptive_rounds
         out = rand_batch(
             oracle, pool, params, instance, rng, base=tuple(order),
             bound=bound if use_bounds else None,
         )
-        skipped += bool(pool) and oracle.ledger.adaptive_rounds == rounds
+        queried = oracle.ledger.adaptive_rounds > rounds
+        skipped += bool(pool) and not queried
         order.extend(out.accepted)
         pool = [e for e in pool if e not in out.accepted]
+        if use_bounds and queried:
+            copies.append((len(order), bound.copy()))
         if i <= 2:
             snapshots[i - 1] = tuple(sides[i - 1][0])
-    return tuple(xs), tuple(ys), snapshots[0], snapshots[1], skipped
+    return tuple(xs), tuple(ys), snapshots[0], snapshots[1], skipped, (sides[0][2], sides[1][2])
+
+
+def naive_density_greedy(oracle, instance):
+    """Density greedy the plain way: each step one charged round over every
+    element outside the selection that still fits, every gain read, and the
+    first element in id order of the highest positive density taken.
+
+    Returns ``(order, value, singleton_gains)``: the picks, the sum of their
+    gains, and the first step's gains with +inf for the elements it did not
+    query.
+    """
+    costs = instance.costs
+    order, used, value = (), 0.0, 0.0
+    singles = np.full(instance.n, np.inf)
+    while True:
+        fits = [e for e in range(instance.n)
+                if e not in order and used + costs[e] <= instance.budget]
+        if not fits:
+            break
+        gains = oracle.marginal_batch(order, np.array(fits, dtype=np.intp))
+        if not order:
+            singles[fits] = gains
+        best = None  # (density, element, gain)
+        for e, gain in zip(fits, gains):
+            if gain > 0.0 and (best is None or gain / costs[e] > best[0]):
+                best = (gain / costs[e], e, gain)
+        if best is None:
+            break
+        order += (best[1],)
+        used += costs[best[1]]
+        value += best[2]
+    return order, float(value), singles

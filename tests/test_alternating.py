@@ -23,7 +23,7 @@ from submodknap import (
     similarity_from_features,
     split_ground,
 )
-from submodknap import alternating
+from submodknap import alternating, estimator
 from submodknap.alternating import threshold_loop
 from submodknap.estimator import gamma_and_guesses
 from submodknap.randbatch import slackened
@@ -33,6 +33,7 @@ from conftest import (
     best_singleton_estimate,
     naive_augment_prefixes,
     naive_threshold_loop,
+    state_of,
 )
 
 # the estimates that seed a grid: density greedy's, and a low one from the
@@ -177,14 +178,16 @@ def _ruled_out(reads, order):
     return [i for i in range(1, len(order)) if reads[i][:1] == [(order[i],)]]
 
 
-def _assert_matches_naive(objective, instance, order, singleton_gains, read_back=False):
+def _assert_matches_naive(
+    objective, instance, order, singleton_gains, read_back=False, loop_bounds=()
+):
     """Returns the naive best and the rows ``augment_prefixes`` ruled out;
     ``read_back`` says whether some of them came back into reach."""
     naive_oracle = CountingOracle(objective)
     naive_full, _, naive_best = naive_augment_prefixes(naive_oracle, instance, order)
     log = GainsLog(objective)
     oracle = CountingOracle(log)
-    full_value, best = augment_prefixes(oracle, instance, order, singleton_gains)
+    full_value, best = augment_prefixes(oracle, instance, order, singleton_gains, loop_bounds)
     assert full_value.hex() == naive_full.hex()
     if naive_best is None:
         assert best is None
@@ -197,6 +200,21 @@ def _assert_matches_naive(objective, instance, order, singleton_gains, read_back
     ruled = _ruled_out(reads, order)
     assert any(len(reads[i]) > 1 for i in ruled) == read_back
     return naive_best, ruled
+
+
+def _record_loops(patch):
+    """Wrap ``alternating.threshold_loop`` through the monkeypatch
+    ``patch``; the returned list gets every call's return."""
+    returns = []
+    real = alternating.threshold_loop
+
+    def recording(*args):
+        out = real(*args)
+        returns.append(out)
+        return out
+
+    patch.setattr(alternating, "threshold_loop", recording)
+    return returns
 
 
 def _random_order(instance, rng):
@@ -213,11 +231,13 @@ class TestAugmentPrefixesMatchesNaive:
     @pytest.mark.parametrize("kind", DIFFERENTIAL_KINDS)
     def test_solver_and_random_orders(self, monkeypatch, kind, estimator):
         # the solver's own orders, on the estimate's grid, with the
-        # estimate's singleton gains, and random feasible orders with those
-        # gains and with none; rows are ruled out only with bounds, and then
-        # on every kind but image_summ, where a prefix's value plus the
-        # largest singleton gain is far above the full order's value
+        # estimate's singleton gains, alone and with the threshold loop's
+        # copies of each order's bounds, and random feasible orders with
+        # those gains and with none; rows are ruled out only with bounds,
+        # and then on every kind but image_summ, where a prefix's value plus
+        # the largest singleton gain is far above the full order's value
         monkeypatch.setitem(ESTIMATORS, "greedy", ESTIMATES[estimator])
+        loops = _record_loops(monkeypatch)
         rng = np.random.default_rng(
             [DIFFERENTIAL_KINDS.index(kind), list(ESTIMATES).index(estimator)]
         )
@@ -227,10 +247,15 @@ class TestAugmentPrefixesMatchesNaive:
             instance = KnapsackInstance(costs, budget_fraction * float(np.sort(costs).sum()))
             gains = ESTIMATES[estimator](CountingOracle(objective), instance).singleton_gains
             result = ast(CountingOracle(objective), instance, AstConfig(seed=3))
-            for name, order in (("best_x_aug", result.x_order), ("best_y_aug", result.y_order)):
+            names = ("best_x_aug", "best_y_aug")
+            orders = (result.x_order, result.y_order)
+            for name, order, copies in zip(names, orders, loops[-1][5]):
                 naive_best, out = _assert_matches_naive(objective, instance, order, gains)
                 assert result.candidates.get(name) == naive_best
                 ruled += len(out)
+                assert _assert_matches_naive(
+                    objective, instance, order, gains, loop_bounds=copies
+                ) == (naive_best, out)
             for _ in range(4):
                 order = _random_order(instance, rng)
                 ruled += len(_assert_matches_naive(objective, instance, order, gains)[1])
@@ -271,6 +296,17 @@ class TestAugmentPrefixesMatchesNaive:
         gains = best_singleton_estimate(CountingOracle(objective), instance).singleton_gains
         assert gains.tolist() == [-1.0, -5.0, -2.0, -3.0]
         best, _ = _assert_matches_naive(objective, instance, (1, 2), gains)
+        assert best == ((1,), -5.0)
+
+    def test_a_bound_copy_leaves_the_joining_element_at_zero(self):
+        # a copy bounds the gains of elements outside each later prefix
+        # only; its -10 for element 1, which joins at row 1, must not hide
+        # 1's gain of 0 there, the best of row 1, where 0 gains -1
+        objective = ModularObjective([-1.0, -5.0, -2.0, -3.0])
+        instance = KnapsackInstance(np.ones(4), 4.0)
+        gains = np.array([-1.0, -5.0, -2.0, -3.0])
+        copies = [(1, np.array([-1.0, -10.0, -2.0, -3.0]))]
+        best, _ = _assert_matches_naive(objective, instance, (1, 2), gains, loop_bounds=copies)
         assert best == ((1,), -5.0)
 
     def test_budget_boundary_breaks_the_value_chain(self):
@@ -375,6 +411,70 @@ def test_benchmark_augmentation_reads_few_argmaxes(objective, n, p):
             assert ruled == 0
 
 
+def _phase_reads(patch, objective, instance, seed):
+    """``{phase: (gains computed, candidates charged)}`` of density greedy
+    and of prefix augmentation (both orders together) in one ``ast`` solve
+    with solver seed ``seed``; each group's base query is left out of the
+    charged candidates."""
+    log = GainsLog(objective)
+    reads = {}
+
+    def counting(phase, fn, bases):
+        def wrapped(oracle, *args):
+            calls, (queries, rounds) = len(log.candidates), oracle.ledger.snapshot()
+            out = fn(oracle, *args)
+            computed = sum(map(len, log.candidates[calls:]))
+            charged = oracle.ledger.total_queries - queries
+            charged -= bases(args, oracle.ledger.adaptive_rounds - rounds)
+            old = reads.get(phase, (0, 0))
+            reads[phase] = (old[0] + computed, old[1] + charged)
+            return out
+
+        return wrapped
+
+    # a greedy round has one base; augmentation has the full order and
+    # each of its prefixes
+    greedy = counting("greedy", estimator.density_greedy_trace, lambda args, rounds: rounds)
+    augment = counting("augment", alternating.augment_prefixes, lambda args, _: len(args[1]) + 1)
+    patch.setattr(estimator, "density_greedy_trace", greedy)
+    patch.setattr(alternating, "augment_prefixes", augment)
+    ast(CountingOracle(log), instance, AstConfig(seed=seed))
+    return reads
+
+
+@pytest.mark.parametrize(
+    "objective, n, p, greedy_cap, augment_cap",
+    [("cut", 200, 0.2, 600, None), ("image_summ", 500, 0.0, 1800, 1800)],
+)
+def test_benchmark_phases_read_few_gains(monkeypatch, objective, n, p, greedy_cap, augment_cap):
+    # greedy computes 506 of the 9,594 gains it is charged for on
+    # cut-er200 (9,588 when it skipped only the elements whose gain was
+    # non-positive), and 1,738 of 6,422 on imsum-500 (3,026); there
+    # augmentation, starting from the threshold loop's bounds, computes
+    # 1,497 gains at seed 0 and 1,700 at seed 1 (2,550 and 2,912 from
+    # singleton bounds alone)
+    built, instance = benchmark_instance(objective, n, p)
+    for seed in (0, 1):
+        reads = _phase_reads(monkeypatch, built, instance, seed)
+        assert reads["greedy"][0] <= greedy_cap
+        if augment_cap is not None:
+            assert reads["augment"][0] <= augment_cap
+
+
+def test_signed_image_summ_phases_read_every_gain(monkeypatch):
+    # no bounds hold without submodularity: each phase computes every
+    # candidate it is charged for
+    rng = np.random.default_rng(0)
+    objective = ImageSummaryObjective(similarity_from_features(rng.normal(size=(200, 16))))
+    costs = 0.1 + rng.random(200)
+    instance = KnapsackInstance(costs, 0.1 * float(np.sort(costs).sum()))
+    assert not objective.submodular
+    for seed in (0, 1):
+        reads = _phase_reads(monkeypatch, objective, instance, seed)
+        assert reads["greedy"][0] == reads["greedy"][1] > 0
+        assert reads["augment"][0] == reads["augment"][1] > 0
+
+
 class TestConfigValidation:
     def test_benchmark_defaults(self):
         config = AstConfig()
@@ -420,8 +520,59 @@ class TestThresholdLoop:
             # ids stay Python ints, so the sweeps' bases are the oracle's own keys
             assert all(type(e) is int for e in out[0] + out[1])
             runs.append((out, oracle.ledger.snapshot()))
-        assert all(run == runs[0] for run in runs)
+        for out, snapshot in runs[1:]:
+            _assert_same_loop(out, runs[0][0])
+            assert snapshot == runs[0][1]
         assert runs[0][0][0] and runs[0][0][1]
+
+
+class TestLoopBoundCopies:
+    @pytest.mark.parametrize("kind", DIFFERENTIAL_KINDS)
+    def test_each_copy_bounds_every_later_prefix(self, kind):
+        # each copy (L, b) of a side's bounds: past every prefix of the
+        # side's final order of length at least L, every gain of an element
+        # outside the prefix, computed from scratch, is at most
+        # slackened(b); no copies without submodularity
+        rng = np.random.default_rng([DIFFERENTIAL_KINDS.index(kind), 5])
+        checked = 0
+        for fraction in (0.1, 0.3):
+            objective, costs = _differential_case(kind, rng)
+            instance = KnapsackInstance(costs, fraction * float(np.sort(costs).sum()))
+            estimate = ESTIMATORS["greedy"](CountingOracle(objective), instance)
+            grid = gamma_and_guesses(estimate.value, instance.budget)
+            _, rest = split_ground(instance, AstConfig().epsilon)
+            for seed in (0, 1):
+                out = threshold_loop(
+                    CountingOracle(objective), instance, rest, grid, AstConfig(seed=seed),
+                    np.random.default_rng(seed), estimate.singleton_gains,
+                )
+                for order, copies in zip(out[:2], out[5], strict=True):
+                    lengths = [length for length, _ in copies]
+                    assert lengths == sorted(lengths) and all(0 <= k <= len(order) for k in lengths)
+                    past = []  # (elements outside the prefix, their gains) per prefix length
+                    for i in range(len(order) + 1):
+                        outside = np.setdiff1d(np.arange(instance.n), order[:i])
+                        state = state_of(objective, order[:i])
+                        past.append((outside, objective.gains(state, outside)))
+                    for length, bound in copies:
+                        for outside, gains in past[length:]:
+                            assert np.all(gains <= slackened(bound[outside]))
+                            checked += 1
+        if kind == "signed_image_summ":
+            assert checked == 0
+        else:
+            assert checked > 0
+
+
+def _assert_same_loop(out, reference):
+    """Two ``threshold_loop`` returns are the same: the first five items
+    equal, and each side's bound copies entry by entry."""
+    assert out[:5] == reference[:5]
+    for copies, expected in zip(out[5], reference[5], strict=True):
+        assert len(copies) == len(expected)
+        for (length, bound), (expected_length, expected_bound) in zip(copies, expected):
+            assert length == expected_length
+            assert np.array_equal(bound, expected_bound)
 
 
 def _record_calls(patch):
@@ -482,7 +633,9 @@ class TestThresholdLoopMatchesCallingEveryStep:
                 oracle, rng = CountingOracle(objective), np.random.default_rng(config.seed)
                 out = loop(oracle, instance, pool, grid, config, rng, gains)
             runs.append((out, oracle.ledger.snapshot(), rng.bit_generator.state))
-        assert runs[1] == runs[0]
+        (naive_out, *naive_rest), (out, *rest) = runs
+        _assert_same_loop(out, naive_out)
+        assert rest == naive_rest
         _assert_empty_calls_follow_a_shrink(calls, grid, config.epsilon)
         return _step_calls(calls, grid, config.epsilon)
 
