@@ -53,6 +53,18 @@ def as_id_array(ids):
     return ids.astype(np.intp, copy=False)
 
 
+_UINTP = np.dtype(np.uintp)
+_max = np.maximum.reduce  # what ndarray.max calls, without its Python wrapper
+_sum = np.add.reduce  # and ndarray.sum
+
+
+def in_range(arr, n):
+    """Whether every id of the non-empty ``intp`` array ``arr`` lies in
+    ``[0, n)``: a negative id reads as a ``uintp`` past every id, so one
+    max checks both ends."""
+    return _max(arr.view(_UINTP)) < n
+
+
 @dataclass(frozen=True)
 class KnapsackInstance:
     """Ground set of ``n`` elements with positive costs and a budget.
@@ -101,7 +113,10 @@ class KnapsackInstance:
         arr = as_id_array(ids)
         if arr.size == 0:
             return 0.0
-        return float(self.costs[np.sort(arr)].sum())
+        if arr is ids:  # the caller's own array: sort a copy
+            arr = arr.copy()
+        arr.sort()
+        return float(_sum(self.costs[arr]))
 
     def feasible(self, ids):
         return self.cost_of(ids) <= self.budget
@@ -165,14 +180,26 @@ class CountingOracle:
     sampler's sweeps, density greedy, prefix augmentation) skip that
     conversion; answers, charges and errors are the same either way.
 
-    Nested groups.  In one call, a group whose base is a tuple one id
-    longer than the previous group's key, holding the very same objects
-    before its last id (compared with ``is``, never ``==``, which would let
-    ``1.0`` or ``True`` through), checks only that last id: a Python int,
-    in range, not in the previous key.  So a sweep's d + 1 nested bases are
-    neither type-checked, hashed nor sliced again group by group; only the
-    identity scan remains.  Any other group (a sibling, a shorter base, a
-    base whose ids are equal but other objects) takes the full check.
+    Prefix rounds.  A sampler sweep passes its d + 1 nested groups, ``(base
+    + seq[:t], candidates)`` for t = 0..d, as one :class:`PrefixRound`.  The
+    oracle checks the base, then the candidates, then each drawn id of
+    ``seq`` in order (a Python int, in range, in neither the base nor
+    earlier in ``seq``), charges ``(d + 1)(len(candidates) + 1)`` and builds
+    row t's key only when row t is read.  That is one check per sweep,
+    whatever the base's length, and the first error raised is the one
+    ``list()`` of the round raises: a round that draws anything but Python
+    ints is checked as that list.
+
+    Nested groups.  In a plain sequence of pairs, a group whose base is a
+    tuple one id longer than the previous group's key, holding the very
+    same objects before its last id (compared with ``is``, never ``==``,
+    which would let ``1.0`` or ``True`` through), checks only that last id:
+    a Python int, in range, not in the previous key.  So the nested rows
+    of prefix augmentation, and ``list()`` of a prefix round, are neither
+    type-checked, hashed nor sliced again group by group; only the
+    identity scan remains.  Any other group (a sibling, a
+    shorter base, a base whose ids are equal but other objects) takes the
+    full check.
 
     Float and tie policy.  Extension queries are answered with the gains
     ``f(u | base)`` the objective returns; no base value is computed for
@@ -187,6 +214,10 @@ class CountingOracle:
     as a gain exceeds an earlier one past a smaller base, or the difference
     of two from-scratch values, by less than that.  Ties go to the lowest
     id within a gains array and to the earliest set among equal values.
+    The sampler's stopping rules over fewer than 8 survivors are summed on
+    Python floats, one by one from 0.0, which is how ``np.add.reduce`` adds
+    fewer than 8 doubles, so they are bit-identical to the numpy rules
+    (see :func:`submodknap.randbatch._small_rules`).
 
     Parameters
     ----------
@@ -204,13 +235,13 @@ class CountingOracle:
         self._states = {}
 
     def _check_ids(self, arr):
-        if arr.size:
-            if arr.min() < 0 or arr.max() >= self.n:
-                raise ValueError("element id out of range for this ground set")
+        if arr.size and not in_range(arr, self.n):
+            raise ValueError("element id out of range for this ground set")
 
     def _check_new_id(self, e, parent):
         """Raise ``ValueError`` unless the Python int ``e`` is an id of this
-        ground set outside the checked base ``parent``."""
+        ground set outside ``parent``, the ids of a checked base (a tuple or
+        a set)."""
         if not 0 <= e < self.n:
             raise ValueError("element id out of range for this ground set")
         if e in parent:
@@ -224,6 +255,27 @@ class CountingOracle:
                 raise ValueError("element id out of range for this ground set")
             if len(set(key)) != len(key):
                 raise ValueError("a queried set repeats an element id")
+
+    def _checked_key(self, base):
+        """The cache key of ``base``, checked unless its state is cached.  A
+        tuple of Python ints is its own key; anything else (an array, a
+        list, numpy or float ids) goes through :func:`as_id_array`.  Every
+        id's type is checked, since ``(1.0, 2) == (1, 2)`` as a key."""
+        if type(base) is tuple and _INT.issuperset(map(type, base)):
+            key = base
+        else:
+            key = tuple(as_id_array(base).tolist())
+        if key not in self._states:
+            self._check_base(key)
+        return key
+
+    def _checked_candidates(self, candidates):
+        """``candidates`` as a checked id array of the oracle's own."""
+        arr = as_id_array(candidates)
+        self._check_ids(arr)
+        if arr is candidates:  # read later: keep the ids of now
+            arr = arr.copy()
+        return arr
 
     def _state(self, key):
         """The gain state of a checked base, extended from its parent's when
@@ -278,16 +330,16 @@ class CountingOracle:
         may repeat; each is its own query.  Returns an
         :class:`ExtensionGains`, one gains array per group aligned to the
         candidate order (empty for a group with no candidates), each
-        computed the first time it is read.
+        computed the first time it is read.  A :class:`PrefixRound` is
+        checked as one sweep (see the class docstring's "Prefix rounds").
         """
+        if type(groups) is PrefixRound and _INT.issuperset(map(type, groups.seq)):
+            return self._prefix_round(groups)
         prepared = []
         queries = 0
         key = None  # the previous group's key
         last = object()  # the candidates of the previous group
         for base, candidates in groups:
-            # a tuple of Python ints is its own key; anything else (an
-            # array, a list, numpy or float ids) goes through as_id_array.
-            # Every id's type is checked, since (1.0, 2) == (1, 2) as a key
             if (
                 key is not None
                 and type(base) is tuple
@@ -301,22 +353,27 @@ class CountingOracle:
                 self._check_new_id(base[-1], key)
                 key = base
             else:
-                if type(base) is tuple and set(map(type, base)) <= _INT:
-                    key = base
-                else:
-                    key = tuple(as_id_array(base).tolist())
-                if key not in self._states:
-                    self._check_base(key)
-            if candidates is not last:  # a sweep passes one list to every group
-                cand_arr = as_id_array(candidates)
-                self._check_ids(cand_arr)
-                if cand_arr is candidates:  # read later: keep the ids of now
-                    cand_arr = cand_arr.copy()
+                key = self._checked_key(base)
+            if candidates is not last:  # consecutive groups often share one array
+                cand_arr = self._checked_candidates(candidates)
                 last = candidates
             prepared.append((key, cand_arr))
             queries += cand_arr.size + 1
         self.ledger.charge(queries)
         return ExtensionGains(self, prepared)
+
+    def _prefix_round(self, groups):
+        """Check and charge a :class:`PrefixRound` whose drawn ids are Python
+        ints, in the order the plain list of its groups is checked."""
+        key = self._checked_key(groups.base)
+        cands = self._checked_candidates(groups.candidates)
+        seq = groups.seq
+        seen = set(key)
+        for e in seq:
+            self._check_new_id(e, seen)
+            seen.add(e)
+        self.ledger.charge(len(groups) * (cands.size + 1))
+        return ExtensionGains(self, PrefixRound(key, seq, cands))
 
     def exact_value(self, ids):
         """From-scratch ``f(ids)`` of a set already charged as a base or an
@@ -328,6 +385,33 @@ class CountingOracle:
         """Marginal gains ``f(u | base)`` for each candidate as an array, in
         one round.  Costs ``len(candidates) + 1`` queries."""
         return self.evaluate_extensions([(base, candidates)])[0]
+
+
+class PrefixRound(Sequence):
+    """The d + 1 nested groups of one sampler sweep, ``(base + seq[:t],
+    candidates)`` for t = 0..d, every group with the same candidates.
+
+    It reads as that sequence of pairs (``list()`` of it is the plain list
+    of groups, each base sharing the objects of the one before), and
+    :meth:`CountingOracle.evaluate_extensions` checks it as one sweep, with
+    the answers, charges and errors of that list.
+    """
+
+    __slots__ = ("base", "seq", "candidates")
+
+    def __init__(self, base, seq, candidates):
+        self.base = tuple(base)
+        self.seq = tuple(seq)
+        self.candidates = candidates
+
+    def __len__(self):
+        return len(self.seq) + 1
+
+    def __getitem__(self, t):
+        size = len(self.seq) + 1
+        if not -size <= t < size:
+            raise IndexError("prefix round index out of range")
+        return self.base + self.seq[: t % size], self.candidates
 
 
 class ExtensionGains(Sequence):
@@ -342,7 +426,9 @@ class ExtensionGains(Sequence):
 
     def __init__(self, oracle, groups):
         self._oracle = oracle
-        self._groups = groups  # (base id tuple, candidate id array) per group
+        # (base id tuple, candidate id array) per group: a list, or a
+        # PrefixRound that builds a group's key when it is read
+        self._groups = groups
         self._rows = [None] * len(groups)
 
     def __len__(self):

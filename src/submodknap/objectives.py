@@ -163,7 +163,10 @@ class WeightedGraph:
             src = np.concatenate([self.edge_u, self.edge_v])
             dst = np.concatenate([self.edge_v, self.edge_u])
             wts = np.concatenate([self.edge_w, self.edge_w])
-            order = np.argsort(src, kind="stable")
+            # the narrowest unsigned keys that hold every node id: the
+            # stable sort's order is the same, and up to 65,536 nodes numpy
+            # radix-sorts them
+            order = np.argsort(src.astype(np.min_scalar_type(self.n - 1)), kind="stable")
             counts = np.bincount(src, minlength=self.n)
             indptr = np.zeros(self.n + 1, dtype=np.intp)
             np.cumsum(counts, out=indptr[1:])
@@ -184,7 +187,7 @@ class SimilarityMatrix:
         sim = np.asarray(sim, dtype=np.float64)
         if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.shape[0] == 0:
             raise ValueError("similarity matrix must be square and non-empty")
-        if not np.array_equal(sim, sim.T):
+        if not _is_symmetric(sim):
             raise ValueError("similarity matrix must be symmetric")
         if not np.all(np.diagonal(sim) == 1.0):
             raise ValueError("similarity matrix diagonal must be exactly 1")
@@ -216,10 +219,26 @@ def _symmetrized(product):
     transposed order and the whole-matrix copy that ``+=`` of an
     overlapping operand makes.
     """
-    if not np.array_equal(product, product.T):
+    if not _is_symmetric(product):
         product += product.T
         product /= 2.0
     return product
+
+
+_TILE = 512  # 2 MiB of float64 per tile; a matrix of up to 512 rows is one tile
+
+
+def _is_symmetric(mat):
+    """``np.array_equal(mat, mat.T)`` for a square matrix, tile by tile:
+    each tile on or above the diagonal against its mirror tile's transpose,
+    stopping at the first that differs.  A NaN never equals itself, so a
+    matrix holding one is not symmetric, as with the whole-matrix test."""
+    n = mat.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            if not np.array_equal(mat[i:i + _TILE, j:j + _TILE], mat[j:j + _TILE, i:i + _TILE].T):
+                return False
+    return True
 
 
 def _members(n, ids):

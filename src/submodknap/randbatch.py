@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import as_id_array
+from .core import PrefixRound, _sum, as_id_array, in_range
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class RandBatchOutput:
     ceiling: float = np.inf
 
 
-def get_seq(current, pool, instance, external_cost, rng):
+def get_seq(current, pool, instance, external_cost, rng, pool_costs=None):
     """Random maximal ordered sequence from ``pool`` with feasible prefixes.
 
     Elements are drawn uniformly without replacement; the sequence stops once
@@ -78,10 +78,14 @@ def get_seq(current, pool, instance, external_cost, rng):
     Each pick is one ``rng.integers(k)`` call, ``k`` the number of elements
     that still fit, in pool order.  Pool costs are read once, as Python
     floats: the same doubles, so the same draws as comparing numpy scalars.
+    A caller that holds them already, aligned to ``pool``, passes them as
+    ``pool_costs``.
     """
     pool = list(pool)
     room = instance.budget - external_cost - instance.cost_of(current)
-    candidates = [(e, c) for e, c in zip(pool, instance.costs[pool].tolist()) if c <= room]
+    if pool_costs is None:
+        pool_costs = instance.costs[pool].tolist()
+    candidates = [(e, c) for e, c in zip(pool, pool_costs) if c <= room]
     seq = []
     while candidates:
         pick, cost = candidates[int(rng.integers(len(candidates)))]
@@ -91,13 +95,46 @@ def get_seq(current, pool, instance, external_cost, rng):
     return seq
 
 
-_sum = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
-
-
 def _clears(gains, elem_costs, spent, threshold, residual):
     """Survivor rule: the gain per unit cost clears ``threshold`` and the
     element still fits next to ``spent`` within ``residual``."""
     return (gains / elem_costs >= threshold) & (spent + elem_costs <= residual)
+
+
+def _rules(gains, elem_costs, spent, threshold, residual):
+    """One sweep row's survivor mask, and the sums its stopping rules test:
+    the survivors' cost and gain, and the pool's negative gains."""
+    high = _clears(gains, elem_costs, spent, threshold, residual)
+    return (
+        high,
+        _sum(np.where(high, elem_costs, 0.0)),
+        _sum(np.where(high, gains, 0.0)),
+        _sum(np.where(gains < 0.0, -gains, 0.0)),
+    )
+
+
+# pools smaller than this take the stopping rules on Python floats
+SMALL_POOL = 8
+
+
+def _small_rules(gains, elem_costs, spent, threshold, residual):
+    """:func:`_rules` on lists of Python floats, for fewer than
+    ``SMALL_POOL`` elements: the same mask (a list) and bit for bit the same
+    sums.  ``np.add.reduce`` adds fewer than 8 doubles one by one, starting
+    from 0.0, and an add of the 0.0 ``np.where`` puts in leaves a sum that
+    starts from 0.0 unchanged (only -0.0 + 0.0 changes bits), so skipping
+    those adds changes nothing."""
+    high = []
+    mass = kept = lost = 0.0
+    for g, c in zip(gains, elem_costs):
+        clears = g / c >= threshold and spent + c <= residual
+        high.append(clears)
+        if clears:
+            mass += c
+            kept += g
+        if g < 0.0:
+            lost += -g
+    return high, mass, kept, lost
 
 
 # relative slack on a gain bound: a gain past a larger base may exceed the
@@ -166,14 +203,19 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     Each sweep's scalars are taken without per-row numpy overhead where
     that keeps the bits: prefix costs are sequential Python sums, as
     ``np.cumsum`` adds them; the masked sums call ``np.add.reduce``, which
-    is what ``ndarray.sum`` calls; and the survivor positions that a step
-    gain needs are indexed only when a row before t* reads one.
+    is what ``ndarray.sum`` calls, or, over fewer than ``SMALL_POOL``
+    survivors, are Python float sums in the same order (:func:`_small_rules`);
+    and the survivor positions that a step gain needs are indexed only when
+    a row before t* reads one.  The survivors' ids and costs carry from
+    sweep to sweep as lists, which ``get_seq`` draws from, and each sweep's
+    groups go to the oracle as one :class:`~submodknap.core.PrefixRound`,
+    checked once.
     """
     base = tuple(base)
     if bound is None:
         bound = np.full(instance.n, np.inf)
     pool = as_id_array(pool)
-    if pool.size and (pool.min() < 0 or pool.max() >= instance.n):
+    if pool.size and not in_range(pool, instance.n):
         raise ValueError("element id out of range for this ground set")
     costs = instance.costs
     epsilon = params.epsilon
@@ -194,36 +236,40 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     # initial survivor filter: one marginal batch over the live elements
     gains = oracle.marginal_batch(base, live)
     bound[live] = np.minimum(bound[live], gains)
-    high = _clears(gains, costs[live], 0.0, threshold, residual)
-    surviving_gain = np.where(high, gains, 0.0).sum()
+    live_costs = costs[live]
+    high = _clears(gains, live_costs, 0.0, threshold, residual)
+    surviving_gain = _sum(np.where(high, gains, 0.0))
+    # the survivors, as an array and as lists of ids and of costs
     survivors = live[high]
+    ids = survivors.tolist()
+    surv_costs = live_costs[high].tolist()
 
-    while survivors.size and count < params.accept_cap:
-        ids = survivors.tolist()
-        seq = get_seq(accepted, ids, instance, instance.budget - residual, rng)
+    while ids and count < params.accept_cap:
+        seq = get_seq(accepted, ids, instance, instance.budget - residual, rng, surv_costs)
         d = len(seq)
         if d == 0:
             # unreachable in exact arithmetic (every survivor fits alone);
             # at the budget boundary rounding can leave survivors that no
             # canonical cost sum admits, so they are dropped
-            survivors = survivors[:0]
+            ids = []
             break
         # sequential sums, as np.cumsum makes them
         prefix_costs = list(accumulate(costs[seq].tolist(), initial=0.0))
 
-        # marginals of every survivor against every prefix, charged as one
-        # round; row t is computed only when read.  Bases are tuples of
-        # ints, the oracle's own keys
-        key = base + tuple(accepted)
-        groups = [(key, survivors)]
-        for e in seq:
-            key += (e,)
-            groups.append((key, survivors))
-        rows = oracle.evaluate_extensions(groups)
+        # marginals of every survivor against every prefix, charged and
+        # checked as one round; row t is computed only when read
+        rows = oracle.evaluate_extensions(PrefixRound(base + tuple(accepted), seq, survivors))
 
-        surv_costs = costs[survivors]
+        # small pools take the rules on Python floats, bit for bit the same
+        small = len(ids) < SMALL_POOL
+        if small:
+            pool_cost = 0.0
+            for c in surv_costs:  # np.add.reduce's order (see _small_rules)
+                pool_cost += c
+        else:
+            cost_arr = costs[survivors]
+            pool_cost = float(_sum(cost_arr))
         surv_index = None  # survivor id -> position, built when a step gain is read
-        pool_cost = float(surv_costs.sum())
 
         # t* is the first prefix length t at which the mass rule (t1) or the
         # damage rule (t2) fires, or d; rows are read in order up to it.
@@ -234,10 +280,17 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
         for t in range(1 if row_0_inert else 0, d + 1):
             gains = rows[t]
             # survivors after prefix t: still worth taking once it is accepted
-            high = _clears(gains, surv_costs, accepted_cost + prefix_costs[t], threshold, residual)
-            remaining_mass = _sum(np.where(high, surv_costs, 0.0))
-            surviving_gain = _sum(np.where(high, gains, 0.0))
-            negative_gain = _sum(np.where(gains < 0.0, -gains, 0.0))
+            spent = accepted_cost + prefix_costs[t]
+            if small:
+                gains_t = gains.tolist()
+                high, remaining_mass, surviving_gain, negative_gain = _small_rules(
+                    gains_t, surv_costs, spent, threshold, residual
+                )
+            else:
+                gains_t = gains
+                high, remaining_mass, surviving_gain, negative_gain = _rules(
+                    gains, cost_arr, spent, threshold, residual
+                )
             mass_rule = remaining_mass <= (1.0 - epsilon) * pool_cost
             damage_rule = epsilon * surviving_gain <= negative_gain + damage_prefix
             if mass_rule or damage_rule or t == d:
@@ -246,7 +299,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
             # negative marginal at the moment it would be added
             if surv_index is None:
                 surv_index = {e: j for j, e in enumerate(ids)}
-            step_gain = gains[surv_index[seq[t]]]
+            step_gain = gains_t[surv_index[seq[t]]]
             if step_gain < 0.0:
                 damage_prefix += -step_gain
         t_star = t
@@ -260,6 +313,13 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
 
         # the survivors past the extended accepted set are row t_star; the
         # elements just accepted gain exactly 0 there, so they drop out
-        survivors = survivors[high]
+        if small:
+            ids = [e for e, keep in zip(ids, high) if keep]
+            surv_costs = [c for c, keep in zip(surv_costs, high) if keep]
+            survivors = np.array(ids, dtype=np.intp)
+        else:
+            survivors = survivors[high]
+            ids = survivors.tolist()
+            surv_costs = cost_arr[high].tolist()
 
-    return RandBatchOutput(tuple(accepted), tuple(survivors.tolist()), count)
+    return RandBatchOutput(tuple(accepted), tuple(ids), count)

@@ -416,6 +416,12 @@ class TestFeasibility:
         instance = KnapsackInstance(np.array([0.1, 0.7, 0.3]), 1.0)
         assert instance.cost_of((2, 0, 1)) == instance.cost_of((0, 1, 2))
 
+    def test_cost_of_an_array_leaves_it_unsorted(self):
+        instance = KnapsackInstance(np.array([0.1, 0.7, 0.3]), 1.0)
+        ids = np.array([2, 0, 1], dtype=np.intp)
+        assert instance.cost_of(ids) == instance.cost_of((0, 1, 2))
+        assert ids.tolist() == [2, 0, 1]
+
     def test_max_feasible_cardinality(self):
         instance = KnapsackInstance(np.array([0.5, 0.2, 0.9, 0.1]), 0.85)
         # cheapest prefix sums: 0.1, 0.3, 0.8, 1.7

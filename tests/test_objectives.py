@@ -23,7 +23,7 @@ from submodknap import (
     revenue_costs,
     similarity_from_features,
 )
-from submodknap.objectives import _PAIR_BLOCK, _symmetrized
+from submodknap.objectives import _PAIR_BLOCK, _TILE, _is_symmetric, _symmetrized
 from submodknap.randbatch import BOUND_SLACK
 from conftest import naive_cut, naive_image_summary, naive_revenue, state_of
 
@@ -378,6 +378,86 @@ class TestSymmetrized:
         want = (a + a.T) / 2.0
         got = _symmetrized(a.copy())
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestTileSymmetry:
+    """``SimilarityMatrix`` and ``_symmetrized`` test symmetry tile by tile;
+    every accept and reject must be the whole-matrix ``array_equal``'s."""
+
+    N = _TILE + 44  # two tiles a side, the last one partial
+
+    @pytest.mark.parametrize(
+        "i, j", [(10, _TILE + 14), (_TILE + 20, _TILE + 30)], ids=["off-diagonal-tile", "last-partial-tile"]
+    )
+    def test_one_asymmetric_entry_is_rejected(self, i, j):
+        sim = np.eye(self.N)
+        sim[i, j] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            SimilarityMatrix(sim)
+        got = _symmetrized(sim.copy())
+        assert np.array_equal(got.view(np.uint64), ((sim + sim.T) / 2.0).view(np.uint64))
+
+    def test_a_symmetric_matrix_of_several_tiles_is_accepted(self):
+        feats = np.random.default_rng(6).random((2 * _TILE + 3, 5))
+        matrix = similarity_from_features(feats)
+        assert SimilarityMatrix(matrix.sim).n == 2 * _TILE + 3
+
+    def test_a_nan_is_not_symmetric(self):
+        sim = np.eye(self.N)
+        sim[3, _TILE + 1] = sim[_TILE + 1, 3] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            SimilarityMatrix(sim)
+
+    def test_agrees_with_the_whole_matrix_test(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 5):
+            a = rng.random((n, n))
+            sym = a + a.T
+            assert _is_symmetric(sym) and np.array_equal(sym, sym.T)
+            for _ in range(3):
+                i, j = rng.integers(0, n, size=2)
+                bent = sym.copy()
+                bent[i, j] += 1.0
+                assert _is_symmetric(bent) == np.array_equal(bent, bent.T)
+
+
+class TestNarrowCsrKeys:
+    """``adjacency`` sorts node ids cast to the narrowest unsigned dtype that
+    holds them; its CSR arrays must be those of a stable sort of the int64
+    endpoints."""
+
+    @staticmethod
+    def _int64_csr(graph):
+        src = np.concatenate([graph.edge_u, graph.edge_v]).astype(np.int64)
+        dst = np.concatenate([graph.edge_v, graph.edge_u])
+        wts = np.concatenate([graph.edge_w, graph.edge_w])
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(graph.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=graph.n), out=indptr[1:])
+        return indptr, dst[order], wts[order]
+
+    def _assert_same(self, graph):
+        for ours, want in zip(graph.adjacency(), self._int64_csr(graph)):
+            assert ours.dtype == want.dtype
+            assert np.array_equal(ours, want)
+
+    @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (40, 0.3, 1), (256, 0.1, 2), (700, 0.05, 3)])
+    def test_generated_graphs(self, n, p, seed):
+        self._assert_same(gen_erdos_renyi(n, p, seed))
+
+    def test_a_single_node(self):
+        self._assert_same(WeightedGraph(1, []))
+
+    def test_a_graph_past_uint16(self):
+        n = 70_000
+        rng = np.random.default_rng(8)
+        u = rng.integers(0, n, size=30_000)
+        v = (u + rng.integers(1, n, size=u.size)) % n
+        _, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        u, v = u[first], v[first]
+        graph = WeightedGraph.from_arrays(n, u, v, rng.random(u.size))
+        assert np.min_scalar_type(n - 1) == np.uint32
+        self._assert_same(graph)
 
 
 class TestBuildMatchesTheFrozenCopy:

@@ -27,7 +27,7 @@ from submodknap import (
     gen_erdos_renyi,
     similarity_from_features,
 )
-from submodknap.core import ExtensionGains
+from submodknap.core import ExtensionGains, PrefixRound
 
 from conftest import benchmark_instance, state_of
 
@@ -303,3 +303,91 @@ def test_a_solve_builds_one_state_and_extends_the_rest(objective, n, p):
         counted = _Counting(built)
         ast(CountingOracle(counted), instance, AstConfig(seed=seed))
         assert counted.counts["state"] == 1
+
+
+# A sweep's groups passed as one PrefixRound against list() of it, the plain
+# pairs the oracle checks group by group.  Each draw may plant one fault in
+# the base or the drawn ids, and one in the candidates.
+_PREFIX_N = 12
+_DRAW_FAULTS = ("out of range", "negative", "repeat in draws", "in base", "float", "bool", "numpy int")
+_CAND_FAULTS = ("out of range", "negative", "float", "bool")
+
+
+def _plant(data, ids, fault, earlier=()):
+    """``ids`` with one entry replaced as ``fault`` says (a no-op when
+    ``ids`` is empty or there is nothing earlier to repeat)."""
+    if not ids:
+        return ids
+    pos = data.draw(st.integers(0, len(ids) - 1), label="position")
+    e = ids[pos]
+    pick = {
+        "out of range": _PREFIX_N + pos,
+        "negative": -1,
+        "float": float(e),
+        "bool": True,
+        "numpy int": np.int64(e),
+    }
+    if fault == "repeat in draws":
+        if pos == 0:
+            return ids
+        pick[fault] = ids[data.draw(st.integers(0, pos - 1), label="repeated")]
+    elif fault == "in base":
+        if not earlier:
+            return ids
+        pick[fault] = data.draw(st.sampled_from(earlier), label="from base")
+    return ids[:pos] + [pick[fault]] + ids[pos + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_a_prefix_round_answers_and_fails_as_its_list(kind, data):
+    objective = _objective(kind, _PREFIX_N, seed=41)
+    ids = data.draw(st.permutations(range(_PREFIX_N)), label="ids")
+    b = data.draw(st.integers(0, 5), label="|base|")
+    d = data.draw(st.integers(0, 5), label="d")
+    base, seq = list(ids[:b]), list(ids[b:b + d])
+    fault = data.draw(st.sampled_from(("none", "base") + _DRAW_FAULTS))
+    if fault == "base":
+        faults = [f for f in _DRAW_FAULTS if f != "in base"]  # a repeat is one within the base
+        base = _plant(data, base, data.draw(st.sampled_from(faults)))
+    elif fault != "none":
+        seq = _plant(data, seq, fault, earlier=base)
+    cands = data.draw(st.lists(st.integers(0, _PREFIX_N - 1), max_size=6), label="candidates")
+    cand_fault = data.draw(st.sampled_from(("none",) + _CAND_FAULTS), label="candidate fault")
+    if cand_fault != "none":
+        cands = _plant(data, cands, cand_fault)
+    elif data.draw(st.booleans(), label="array candidates"):
+        cands = np.array(cands, dtype=np.intp)
+    cache_base = data.draw(st.booleans(), label="cache the base")
+    sweep = PrefixRound(tuple(base), seq, cands)
+    order = data.draw(st.permutations(range(len(sweep))), label="read order")
+    partial = data.draw(st.lists(st.booleans(), min_size=len(sweep), max_size=len(sweep)))
+
+    outcomes = []
+    for groups in (sweep, list(sweep)):
+        oracle = CountingOracle(objective)
+        if cache_base:
+            try:
+                oracle.marginal_batch(tuple(base), [0])
+            except ValueError:
+                pass
+        before = oracle.ledger.snapshot()
+        try:
+            answers = oracle.evaluate_extensions(groups)
+        except ValueError as exc:
+            assert oracle.ledger.snapshot() == before  # nothing charged
+            outcomes.append(("raised", str(exc)))
+            continue
+        charged = oracle.ledger.snapshot()
+        rows = [None] * len(answers)
+        for i in order:
+            if partial[i] and len(cands):
+                positions = np.arange(len(cands))[::-1]
+                rows[i] = _bits(answers.read(i, positions))
+            else:
+                rows[i] = _bits(answers[i])
+        assert oracle.ledger.snapshot() == charged  # reading is free
+        outcomes.append(("answered", charged[0] - before[0], charged[1] - before[1], rows))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0][0] == "answered":
+        assert outcomes[0][1:3] == ((d + 1) * (len(cands) + 1), 1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import submodknap
 from submodknap import (
@@ -15,7 +17,7 @@ from submodknap import (
     rand_batch,
     similarity_from_features,
 )
-from submodknap.randbatch import slackened
+from submodknap.randbatch import SMALL_POOL, _rules, _small_rules, slackened
 from conftest import GainsLog
 
 
@@ -499,3 +501,24 @@ def test_subnormal_or_overflowing_costs_are_rejected(costs, budget, message):
     # accepts nothing and counts nothing, so the sampler would never return
     with pytest.raises(ValueError, match=message):
         KnapsackInstance(np.asarray(costs), budget)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-16, -1e-16, 5e-324, -5e-324, 1e300])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), size=st.integers(1, SMALL_POOL - 1))
+def test_small_pool_rules_match_numpys_sums(data, size):
+    # the Python-float rules must give numpy's mask and sums bit for bit:
+    # np.add.reduce adds fewer than 8 doubles one by one from 0.0.  If
+    # numpy ever sums them otherwise, this fails instead of outputs drifting
+    values = st.one_of(_EDGE_FLOATS, st.floats(-1e6, 1e6))
+    gains = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+    costs = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=size, max_size=size)))
+    spent = data.draw(st.floats(0.0, 20.0))
+    threshold = data.draw(st.one_of(_EDGE_FLOATS, st.floats(-2.0, 2.0)))
+    residual = data.draw(st.floats(0.0, 30.0))
+    high, *sums = _rules(gains, costs, spent, threshold, residual)
+    small_high, *small_sums = _small_rules(gains.tolist(), costs.tolist(), spent, threshold, residual)
+    assert small_high == high.tolist()
+    assert [float(x).hex() for x in small_sums] == [float(x).hex() for x in sums]

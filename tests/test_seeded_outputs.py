@@ -10,6 +10,8 @@ skip the queries its gain bounds prove useless: every solution, order and
 value stayed the same, and fewer queries and rounds are charged.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,38 @@ def test_seeded_output_is_pinned(objective, seed, solution, x_order, y_order, sn
     assert result.y_order == y_order
     assert oracle.ledger.snapshot() == snapshot
     assert result.value == pytest.approx(value, rel=1e-12)
+
+
+# The benchmark's two instances, built as perfbench/run.py builds them
+# (generator seed 0, budget a tenth of the sorted cost sum) and solved at
+# seed 0: (objective, n, p, value.hex(), (queries, rounds), SHA-256 of the
+# solution, both orders, both snapshots, the candidates with their values'
+# hex and the skipped steps).
+PINNED_AT_SCALE = [
+    ("cut", 200, 0.2, "0x1.6de3651c47440p+9", (28312, 173),
+     "4d83947aa6ca09a7e95e21b40ffe4ad46c717d4e330da8ad1a0fe25851f91893"),
+    ("image_summ", 500, 0.0, "0x1.968e091aec485p+8", (20996, 111),
+     "8aff54176f50380faf49d1ae9d50243647eb6a7e9c87094469ccbccacada355b"),
+]
+
+
+@pytest.mark.parametrize(
+    "objective, n, p, value, snapshot, digest",
+    PINNED_AT_SCALE,
+    ids=["cut-er200", "imsum-500"],
+)
+def test_benchmark_scale_output_is_pinned(objective, n, p, value, snapshot, digest):
+    built, costs = build_objective(ExperimentSpec("ast", objective, GenerateSource(n, p, 0)))
+    instance = KnapsackInstance(costs, 0.1 * float(np.sort(costs).sum()))
+    oracle = CountingOracle(built)
+    result = ast(oracle, instance, AstConfig(seed=0))
+    candidates = sorted(
+        (name, tuple(ids), float(v).hex()) for name, (ids, v) in result.candidates.items()
+    )
+    text = repr((
+        result.solution, result.x_order, result.y_order, result.x_after_first,
+        result.y_after_second, candidates, result.skipped_steps,
+    ))
+    assert result.value.hex() == value
+    assert oracle.ledger.snapshot() == snapshot
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
