@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import as_id_array
+from .core import PrefixRound, as_id_array, in_range
 from .estimator import ESTIMATORS, check_grid_params, gamma_and_guesses
 from .randbatch import BOUND_SLACK, RandBatchParams, rand_batch, slackened
 from .unconstrained import unsub_max
@@ -36,8 +36,8 @@ class AstConfig:
 
     epsilon and delta shape the threshold grid (and the boost round draws
     ``ceil(1/epsilon)`` random subsets); the seed fixes every random draw.
-    The grid's alpha is fixed at 1/7, the value the 7 + epsilon analysis
-    uses, and density greedy (``ESTIMATORS["greedy"]``) seeds it.
+    The grid's alpha is ``estimator.ALPHA`` = 1/7, the value the 7 + epsilon
+    analysis uses, and density greedy (``ESTIMATORS["greedy"]``) seeds it.
     """
 
     epsilon: float = 0.1
@@ -177,10 +177,14 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
     """Try every prefix of ``order`` with its best feasible extra element.
 
     All prefix extensions plus the full set itself are charged in one
-    adaptive round; consecutive prefixes with the same candidates pass one
-    array, which the oracle checks once.  For each prefix the winning element is the feasible one
-    (anywhere in the ground set, including inside the prefix, where it adds
-    nothing) with the highest gain, ties to the lowest id.  The recorded
+    adaptive round, one :class:`~submodknap.core.PrefixRound` from the
+    empty base: row ``i`` is ``order[:i]`` with the elements that fit
+    beside it, so the last row charges ``f(order)``; consecutive prefixes
+    with the same candidates pass one array, which the oracle checks once.
+    An id outside the ground set raises ``ValueError`` before any charge.
+    For each prefix the winning element is the feasible one (anywhere in
+    the ground set, including inside the prefix, where it adds nothing)
+    with the highest gain, ties to the lowest id.  The recorded
     value of the full set and of the best augmented prefix (the first of
     equal values, in prefix order) are their sets' from-scratch values,
     which the round has already paid for.
@@ -245,10 +249,13 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
     Returns ``(value_of_full_set, (augmented_ids, value))``, the second
     ``None`` for an empty ``order``.
     """
-    order = tuple(int(e) for e in as_id_array(order).tolist())
+    order = as_id_array(order)
+    if order.size and not in_range(order, instance.n):
+        raise ValueError("element id out of range for this ground set")
+    order = tuple(order.tolist())
     costs = instance.costs
     budget = instance.budget
-    groups = [(order, ())]
+    row_cands = [np.empty(0, dtype=np.intp)]  # row 0: the empty base, alone
     nexts = []  # the next order element's position among each row's candidates, or None
     in_prefix = np.zeros(instance.n, dtype=bool)
     prefix_cost = 0.0
@@ -256,14 +263,14 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
         in_prefix[e] = True
         prefix_cost += costs[e]
         fits = np.nonzero((costs + prefix_cost <= budget) | in_prefix)[0]
-        if nexts and nexts[-1] is not None and fits.size == groups[-1][1].size:
+        if nexts and nexts[-1] is not None and fits.size == row_cands[-1].size:
             # e was a candidate of the row before, so that row's candidates
             # include these; as many means the same, passed as one array
             # that the oracle checks once
-            fits = groups[-1][1]
-        groups.append((order[:i], fits))
+            fits = row_cands[-1]
+        row_cands.append(fits)
         nexts.append(_position(fits, order[i]) if i < len(order) else None)
-    rows = oracle.evaluate_extensions(groups)
+    rows = oracle.evaluate_extensions(PrefixRound((), order, row_cands))
     full_value = oracle.exact_value(order)
     if not order:
         return full_value, None
@@ -277,18 +284,18 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
         first = math.inf if singleton_gains is None else float(singleton_gains[order[0]])
         if whole and math.isfinite(first):
             fwd = first
-            top = max(0.0, slackened(bound[groups[1][1]]).max())
+            top = max(0.0, slackened(bound[row_cands[1]]).max())
             scale = 2.0 * abs(full_value) + abs(fwd) + 2.0 * len(order) * top
             floor = full_value - BOUND_SLACK * max(1.0, scale)
     augmented, best_gains, steps, ruled = [], [], [], []
     copies = iter(loop_bounds)
     copy = next(copies, None)
-    for i, ((prefix, cands), nxt) in enumerate(zip(groups[1:], nexts), start=1):
+    for i, (cands, nxt) in enumerate(zip(row_cands[1:], nexts), start=1):
         if bound is not None:
             while copy is not None and copy[0] <= i:
                 np.minimum(bound, copy[1], out=bound)
                 copy = next(copies, None)
-            bound[prefix[-1]] = 0.0  # it gains exactly 0 from here on
+            bound[order[i - 1]] = 0.0  # it gains exactly 0 from here on
         if nxt is not None and fwd + top < floor:
             step = rows.read(i, np.array([nxt], dtype=np.intp))[0]
             ruled.append(i - 1)
@@ -300,7 +307,7 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
             else:
                 win, gain, step = _lazy_row_argmax(rows, i, cands, bound, nxt)
             # a prefix's own elements always fit, so every row has a winner
-            augmented.append(_augmented(prefix, cands[win]))
+            augmented.append(_augmented(order[:i], cands[win]))
             best_gains.append(gain)
         steps.append(step)
         if step is not None:
@@ -312,9 +319,8 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
         reach = _reach(full_value, steps[:-1], best_gains)
         if not set(ruled).isdisjoint(reach):
             for i in ruled:
-                prefix, cands = groups[i + 1]
                 win, best_gains[i], _ = _whole_row_argmax(rows, i + 1, None)
-                augmented[i] = _augmented(prefix, cands[win])
+                augmented[i] = _augmented(order[: i + 1], row_cands[i + 1][win])
             reach = _reach(full_value, steps[:-1], best_gains)
     best = None
     for i in reach:

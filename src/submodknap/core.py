@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import is_
 
 import numpy as np
 
@@ -109,13 +108,16 @@ class KnapsackInstance:
         return int(np.searchsorted(prefix, self.budget, side="right"))
 
     def cost_of(self, ids):
-        """Total cost of a set, summed in ascending-id order."""
+        """Total cost of a set, summed in ascending-id order.  Raises
+        ``ValueError`` for an id outside the ground set."""
         arr = as_id_array(ids)
         if arr.size == 0:
             return 0.0
         if arr is ids:  # the caller's own array: sort a copy
             arr = arr.copy()
         arr.sort()
+        if arr.item(0) < 0 or arr.item(-1) >= self.costs.size:
+            raise ValueError("element id out of range for this ground set")
         return float(_sum(self.costs[arr]))
 
     def feasible(self, ids):
@@ -166,7 +168,7 @@ class CountingOracle:
     sequence (a state's last bits may depend on the order); using the 257th
     evicts the least recently used.  The bound is fixed; nothing sets it.  A
     base whose state is cached is not checked again; any other base is
-    checked in full, unless it nests on the previous group (below).  A
+    checked in full, unless it is a row of a prefix round (below).  A
     base's state extends its parent's (the base minus its last id) by that
     id when the parent's is cached at the time it is read, and otherwise
     extends the empty state by every id of the base in turn.
@@ -177,29 +179,21 @@ class CountingOracle:
     own key, after a check of every id's type; any other base (a list, an
     array, or a tuple holding numpy, float or bool ids) is converted with
     :func:`as_id_array` first.  Callers that grow bases as tuples (the
-    sampler's sweeps, density greedy, prefix augmentation) skip that
-    conversion; answers, charges and errors are the same either way.
+    sampler's sweeps, density greedy) skip that conversion; answers,
+    charges and errors are the same either way.
 
-    Prefix rounds.  A sampler sweep passes its d + 1 nested groups, ``(base
-    + seq[:t], candidates)`` for t = 0..d, as one :class:`PrefixRound`.  The
-    oracle checks the base, then the candidates, then each drawn id of
-    ``seq`` in order (a Python int, in range, in neither the base nor
-    earlier in ``seq``), charges ``(d + 1)(len(candidates) + 1)`` and builds
-    row t's key only when row t is read.  That is one check per sweep,
-    whatever the base's length, and the first error raised is the one
+    Prefix rounds.  A round of nested bases, ``(base + seq[:t],
+    candidates[t])`` for t = 0..d, passes as one :class:`PrefixRound`: a
+    sampler sweep, whose rows share its survivors, or prefix augmentation,
+    whose rows are an order's prefixes from the empty base on.  The oracle
+    checks the base, row 0's candidates, then each drawn id of ``seq`` (a
+    Python int, in range, in neither the base nor earlier in ``seq``) and
+    the candidates of the row it opens when they are another object than
+    the row before's; it charges ``sum(len(candidates[t]) + 1)`` and builds
+    row t's key only when row t is read.  That is one check per round,
+    whatever the bases' lengths, and the first error raised is the one
     ``list()`` of the round raises: a round that draws anything but Python
     ints is checked as that list.
-
-    Nested groups.  In a plain sequence of pairs, a group whose base is a
-    tuple one id longer than the previous group's key, holding the very
-    same objects before its last id (compared with ``is``, never ``==``,
-    which would let ``1.0`` or ``True`` through), checks only that last id:
-    a Python int, in range, not in the previous key.  So the nested rows
-    of prefix augmentation, and ``list()`` of a prefix round, are neither
-    type-checked, hashed nor sliced again group by group; only the
-    identity scan remains.  Any other group (a sibling, a
-    shorter base, a base whose ids are equal but other objects) takes the
-    full check.
 
     Float and tie policy.  Extension queries are answered with the gains
     ``f(u | base)`` the objective returns; no base value is computed for
@@ -237,15 +231,6 @@ class CountingOracle:
     def _check_ids(self, arr):
         if arr.size and not in_range(arr, self.n):
             raise ValueError("element id out of range for this ground set")
-
-    def _check_new_id(self, e, parent):
-        """Raise ``ValueError`` unless the Python int ``e`` is an id of this
-        ground set outside ``parent``, the ids of a checked base (a tuple or
-        a set)."""
-        if not 0 <= e < self.n:
-            raise ValueError("element id out of range for this ground set")
-        if e in parent:
-            raise ValueError("a queried set repeats an element id")
 
     def _check_base(self, key):
         """Raise ``ValueError`` unless the base ``key``, a tuple of Python
@@ -331,29 +316,15 @@ class CountingOracle:
         :class:`ExtensionGains`, one gains array per group aligned to the
         candidate order (empty for a group with no candidates), each
         computed the first time it is read.  A :class:`PrefixRound` is
-        checked as one sweep (see the class docstring's "Prefix rounds").
+        checked as one round (see the class docstring's "Prefix rounds").
         """
-        if type(groups) is PrefixRound and _INT.issuperset(map(type, groups.seq)):
+        if type(groups) is PrefixRound:
             return self._prefix_round(groups)
         prepared = []
         queries = 0
-        key = None  # the previous group's key
         last = object()  # the candidates of the previous group
         for base, candidates in groups:
-            if (
-                key is not None
-                and type(base) is tuple
-                and len(base) == len(key) + 1
-                and type(base[-1]) is int
-                and all(map(is_, base, key))
-            ):
-                # the previous key plus one id: the same objects up to the
-                # last, so only the last id is new (an equal 1.0 or True is
-                # not the same object, and takes the full check below)
-                self._check_new_id(base[-1], key)
-                key = base
-            else:
-                key = self._checked_key(base)
+            key = self._checked_key(base)
             if candidates is not last:  # consecutive groups often share one array
                 cand_arr = self._checked_candidates(candidates)
                 last = candidates
@@ -363,17 +334,36 @@ class CountingOracle:
         return ExtensionGains(self, prepared)
 
     def _prefix_round(self, groups):
-        """Check and charge a :class:`PrefixRound` whose drawn ids are Python
-        ints, in the order the plain list of its groups is checked."""
+        """Check and charge a :class:`PrefixRound` in the order the plain
+        list of its groups is checked; one that draws anything but a Python
+        int is checked as that list."""
         key = self._checked_key(groups.base)
-        cands = self._checked_candidates(groups.candidates)
-        seq = groups.seq
+        rows = groups.candidates
+        last = rows[0]
+        cands = self._checked_candidates(last)
+        checked = [cands] * len(rows)
+        queries = len(rows) * (cands.size + 1)
+        n = self.n
         seen = set(key)
-        for e in seq:
-            self._check_new_id(e, seen)
+        t = 0
+        for e in groups.seq:
+            if type(e) is not int:  # nothing charged yet: check it as the list
+                return CountingOracle.evaluate_extensions(self, list(groups))
+            if not 0 <= e < n:
+                raise ValueError("element id out of range for this ground set")
+            if e in seen:
+                raise ValueError("a queried set repeats an element id")
             seen.add(e)
-        self.ledger.charge(len(groups) * (cands.size + 1))
-        return ExtensionGains(self, PrefixRound(key, seq, cands))
+            t += 1
+            if rows[t] is not last:  # rows t on take these candidates instead
+                last = rows[t]
+                left = len(rows) - t
+                queries -= left * cands.size
+                cands = self._checked_candidates(last)
+                queries += left * cands.size
+                checked[t:] = [cands] * left
+        self.ledger.charge(queries)
+        return ExtensionGains(self, PrefixRound(key, groups.seq, checked))
 
     def exact_value(self, ids):
         """From-scratch ``f(ids)`` of a set already charged as a base or an
@@ -388,13 +378,13 @@ class CountingOracle:
 
 
 class PrefixRound(Sequence):
-    """The d + 1 nested groups of one sampler sweep, ``(base + seq[:t],
-    candidates)`` for t = 0..d, every group with the same candidates.
+    """The d + 1 nested groups of one sampler sweep or of prefix
+    augmentation, ``(base + seq[:t], candidates[t])`` for t = 0..d: one
+    candidate collection per row, often one object shared by many rows.
 
     It reads as that sequence of pairs (``list()`` of it is the plain list
-    of groups, each base sharing the objects of the one before), and
-    :meth:`CountingOracle.evaluate_extensions` checks it as one sweep, with
-    the answers, charges and errors of that list.
+    of groups), and :meth:`CountingOracle.evaluate_extensions` checks it as
+    one round, with the answers, charges and errors of that list.
     """
 
     __slots__ = ("base", "seq", "candidates")
@@ -402,16 +392,16 @@ class PrefixRound(Sequence):
     def __init__(self, base, seq, candidates):
         self.base = tuple(base)
         self.seq = tuple(seq)
+        if len(candidates) != len(self.seq) + 1:
+            raise ValueError("a prefix round takes one candidate collection per row")
         self.candidates = candidates
 
     def __len__(self):
         return len(self.seq) + 1
 
     def __getitem__(self, t):
-        size = len(self.seq) + 1
-        if not -size <= t < size:
-            raise IndexError("prefix round index out of range")
-        return self.base + self.seq[: t % size], self.candidates
+        candidates = self.candidates[t]  # an IndexError past either end
+        return self.base + self.seq[: t % len(self.candidates)], candidates
 
 
 class ExtensionGains(Sequence):

@@ -15,6 +15,8 @@ import numpy as np
 
 from .baselines import density_greedy_trace
 
+ALPHA = 1.0 / 7.0  # the grid's alpha: the ratio the 7 + epsilon analysis uses
+
 
 @dataclass(frozen=True)
 class OptEstimate:
@@ -96,27 +98,25 @@ def check_grid_params(epsilon, delta):
         raise ValueError("delta must lie in (0, 1/8)")
 
 
-def gamma_and_guesses(estimate_value, budget, *, alpha=1.0 / 7.0, epsilon=0.1, delta=0.12):
+def gamma_and_guesses(estimate_value, budget, *, epsilon=0.1, delta=0.12):
     """Threshold-grid parameters seeded by an optimum estimate.
 
     gamma scales the grid so that, whenever the estimate lies in
     ``[(1/8 - delta) * OPT, OPT]``, some grid density lands in the window the
     selection analysis needs.  The grid length and the sampler's acceptance
-    cap depend only on (alpha, epsilon, delta), not on the instance.  Raises
+    cap depend only on (``ALPHA``, epsilon, delta), not on the instance.  Raises
     ``ValueError`` when gamma overflows or the grid's last threshold
     underflows to 0, thresholds the sampler cannot use.
     """
     check_grid_params(epsilon, delta)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
     if budget <= 0.0:
         raise ValueError("budget must be positive")
     if estimate_value <= 0.0:
         raise ValueError("trivial instance: estimate value must be positive")
-    gamma = 8.0 * alpha * estimate_value / ((1.0 - 8.0 * delta) * epsilon * budget)
+    gamma = 8.0 * ALPHA * estimate_value / ((1.0 - 8.0 * delta) * epsilon * budget)
     if not math.isfinite(gamma):
         raise ValueError("gamma overflows: the estimate is too large for the budget")
-    ratio = 8.0 * alpha / (epsilon**2 * (1.0 - 8.0 * delta))
+    ratio = 8.0 * ALPHA / (epsilon**2 * (1.0 - 8.0 * delta))
     num_thresholds = math.ceil(math.log(ratio) / math.log(1.0 / (1.0 - epsilon))) + 1
     if gamma * (1.0 - epsilon) ** num_thresholds == 0.0:
         raise ValueError(

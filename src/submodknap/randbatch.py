@@ -258,7 +258,9 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
 
         # marginals of every survivor against every prefix, charged and
         # checked as one round; row t is computed only when read
-        rows = oracle.evaluate_extensions(PrefixRound(base + tuple(accepted), seq, survivors))
+        rows = oracle.evaluate_extensions(
+            PrefixRound(base + tuple(accepted), seq, [survivors] * (d + 1))
+        )
 
         # small pools take the rules on Python floats, bit for bit the same
         small = len(ids) < SMALL_POOL

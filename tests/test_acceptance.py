@@ -238,7 +238,7 @@ def test_c05_augmentation_round_budget():
 
 
 def test_c06_grid_parameters():
-    grid = gamma_and_guesses(1.0, 1.0, alpha=1.0 / 7.0, epsilon=0.1, delta=0.12)
+    grid = gamma_and_guesses(1.0, 1.0, epsilon=0.1, delta=0.12)
     passed = grid.num_thresholds == 77 and grid.accept_cap == 3950
     report(
         "C6",

@@ -25,6 +25,7 @@ from submodknap import (
 )
 from submodknap import alternating, estimator
 from submodknap.alternating import threshold_loop
+from submodknap.core import PrefixRound
 from submodknap.estimator import gamma_and_guesses
 from submodknap.randbatch import slackened
 from conftest import (
@@ -100,6 +101,34 @@ class TestAugmentPrefixes:
         instance = KnapsackInstance(np.ones(6), 4.0)
         augment_prefixes(oracle, instance, (0, 1, 2, 3))
         assert oracle.ledger.adaptive_rounds == 1
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_ids_outside_the_ground_set_are_rejected_before_any_charge(self, bad):
+        # checked before the prefix mask is indexed, where -1 would wrap to n - 1
+        oracle = CountingOracle(ModularObjective([1.0, 2.0, 4.0]))
+        instance = KnapsackInstance(np.ones(3), 2.0)
+        with pytest.raises(ValueError, match="range"):
+            augment_prefixes(oracle, instance, (0, bad))
+        assert oracle.ledger.snapshot() == (0, 0)
+
+    def test_the_round_is_one_prefix_round(self, monkeypatch):
+        # row 0 is the empty base alone and row L the whole order, so
+        # f(order) is charged before it is read
+        issued = []
+        evaluate = CountingOracle.evaluate_extensions
+
+        def recording(self, groups):
+            issued.append(groups)
+            return evaluate(self, groups)
+
+        monkeypatch.setattr(CountingOracle, "evaluate_extensions", recording)
+        oracle = CountingOracle(ModularObjective(np.arange(1.0, 7.0)))
+        augment_prefixes(oracle, KnapsackInstance(np.ones(6), 4.0), (4, 1, 2))
+        (groups,) = issued
+        assert isinstance(groups, PrefixRound)
+        assert groups.base == () and groups.seq == (4, 1, 2)
+        assert len(groups.candidates[0]) == 0
+        assert oracle.ledger.snapshot() == (sum(len(c) + 1 for c in groups.candidates), 1)
 
     def test_values_are_exact_and_charges_unchanged(self):
         # winners picked by gains, values recomputed from scratch: each

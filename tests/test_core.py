@@ -309,9 +309,10 @@ class TestTupleBases:
             assert oracle.evaluate(tuple(np.array(base))) == reference.evaluate(base)
         assert oracle.ledger.snapshot() == reference.ledger.snapshot()
 
-    # Sweep-shaped calls: a group whose base is the previous group's key
-    # plus one id, with the same objects before it, checks only that id;
-    # every other group takes the full check.
+    # Sweep-shaped calls as a plain list: every group takes the full check,
+    # so a fault anywhere in a nested base is found, siblings and shorter
+    # bases are checked alike, and equal ids that are other objects give
+    # the same answers and charges.
 
     @staticmethod
     def _sweep(base=(3, 1, 5), seq=(7, 9, 11)):
@@ -421,6 +422,14 @@ class TestFeasibility:
         ids = np.array([2, 0, 1], dtype=np.intp)
         assert instance.cost_of(ids) == instance.cost_of((0, 1, 2))
         assert ids.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("ids", [[-1], [3], [0, -1], [2, 3, 1], np.array([1, -2])])
+    def test_ids_outside_the_ground_set_are_rejected(self, unit_instance_3, ids):
+        # a negative id must not wrap to a cost from the end of the array
+        with pytest.raises(ValueError, match="range"):
+            unit_instance_3.cost_of(ids)
+        with pytest.raises(ValueError, match="range"):
+            unit_instance_3.feasible(ids)
 
     def test_max_feasible_cardinality(self):
         instance = KnapsackInstance(np.array([0.5, 0.2, 0.9, 0.1]), 0.85)

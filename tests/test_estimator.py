@@ -94,14 +94,14 @@ class TestOptEstimateValidation:
 
 class TestGuessGrid:
     def test_reference_parameters(self):
-        grid = gamma_and_guesses(5.0, 2.0, alpha=1.0 / 7.0, epsilon=0.1, delta=0.12)
+        grid = gamma_and_guesses(5.0, 2.0, epsilon=0.1, delta=0.12)
         assert grid.num_thresholds == 77
         assert grid.accept_cap == 3950
 
     def test_gamma_inverts_to_estimate(self):
         alpha, epsilon, delta, budget = 1.0 / 7.0, 0.1, 0.12, 3.7
         for value in (0.5, 12.0, 400.0):
-            grid = gamma_and_guesses(value, budget, alpha=alpha, epsilon=epsilon, delta=delta)
+            grid = gamma_and_guesses(value, budget, epsilon=epsilon, delta=delta)
             recovered = grid.gamma * epsilon * budget * (1 - 8 * delta) / (8 * alpha)
             assert recovered == pytest.approx(value, rel=1e-12)
             assert grid.gamma > 0
@@ -157,7 +157,7 @@ class TestGuessGrid:
             instance = KnapsackInstance(graph.node_costs, budget)
             _, opt = brute_force_opt(objective, instance)
             for estimate in (factor * opt, opt, *(factor * opt + rng.random(3) * (1 - factor) * opt)):
-                grid = gamma_and_guesses(estimate, budget, alpha=alpha, epsilon=epsilon, delta=delta)
+                grid = gamma_and_guesses(estimate, budget, epsilon=epsilon, delta=delta)
                 thetas = grid.gamma * (1 - epsilon) ** np.arange(1, grid.num_thresholds + 1)
                 window_lo = (1 - epsilon) * alpha * opt / budget
                 window_hi = alpha * opt / budget

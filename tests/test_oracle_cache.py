@@ -305,9 +305,11 @@ def test_a_solve_builds_one_state_and_extends_the_rest(objective, n, p):
         assert counted.counts["state"] == 1
 
 
-# A sweep's groups passed as one PrefixRound against list() of it, the plain
-# pairs the oracle checks group by group.  Each draw may plant one fault in
-# the base or the drawn ids, and one in the candidates.
+# A round's nested groups passed as one PrefixRound against list() of it,
+# the plain pairs the oracle checks group by group.  Each row draws its own
+# candidates or shares the row before's object.  Each draw may plant one
+# fault in the base or the drawn ids, and one in some row's candidates,
+# which every later row sharing that row's object shares too.
 _PREFIX_N = 12
 _DRAW_FAULTS = ("out of range", "negative", "repeat in draws", "in base", "float", "bool", "numpy int")
 _CAND_FAULTS = ("out of range", "negative", "float", "bool")
@@ -338,6 +340,12 @@ def _plant(data, ids, fault, earlier=()):
     return ids[:pos] + [pick[fault]] + ids[pos + 1:]
 
 
+@pytest.mark.parametrize("rows", [0, 2, 4])
+def test_a_prefix_round_takes_one_candidate_collection_per_row(rows):
+    with pytest.raises(ValueError, match="one candidate collection per row"):
+        PrefixRound((0,), (1, 2), [[3]] * rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(KINDS), data=st.data())
 def test_a_prefix_round_answers_and_fails_as_its_list(kind, data):
@@ -352,14 +360,26 @@ def test_a_prefix_round_answers_and_fails_as_its_list(kind, data):
         base = _plant(data, base, data.draw(st.sampled_from(faults)))
     elif fault != "none":
         seq = _plant(data, seq, fault, earlier=base)
-    cands = data.draw(st.lists(st.integers(0, _PREFIX_N - 1), max_size=6), label="candidates")
+    row_cands = []
+    for _ in range(len(seq) + 1):
+        if row_cands and data.draw(st.booleans(), label="share the row before's"):
+            row_cands.append(row_cands[-1])
+            continue
+        cands = data.draw(st.lists(st.integers(0, _PREFIX_N - 1), max_size=6), label="candidates")
+        if data.draw(st.booleans(), label="array candidates"):
+            cands = np.array(cands, dtype=np.intp)
+        row_cands.append(cands)
     cand_fault = data.draw(st.sampled_from(("none",) + _CAND_FAULTS), label="candidate fault")
     if cand_fault != "none":
-        cands = _plant(data, cands, cand_fault)
-    elif data.draw(st.booleans(), label="array candidates"):
-        cands = np.array(cands, dtype=np.intp)
+        r = data.draw(st.integers(0, len(seq)), label="faulty row")
+        shared = row_cands[r]
+        planted = _plant(data, list(shared), cand_fault)
+        for t in range(r, len(row_cands)):
+            if row_cands[t] is not shared:
+                break
+            row_cands[t] = planted
     cache_base = data.draw(st.booleans(), label="cache the base")
-    sweep = PrefixRound(tuple(base), seq, cands)
+    sweep = PrefixRound(tuple(base), seq, row_cands)
     order = data.draw(st.permutations(range(len(sweep))), label="read order")
     partial = data.draw(st.lists(st.booleans(), min_size=len(sweep), max_size=len(sweep)))
 
@@ -381,8 +401,8 @@ def test_a_prefix_round_answers_and_fails_as_its_list(kind, data):
         charged = oracle.ledger.snapshot()
         rows = [None] * len(answers)
         for i in order:
-            if partial[i] and len(cands):
-                positions = np.arange(len(cands))[::-1]
+            if partial[i] and len(row_cands[i]):
+                positions = np.arange(len(row_cands[i]))[::-1]
                 rows[i] = _bits(answers.read(i, positions))
             else:
                 rows[i] = _bits(answers[i])
@@ -390,4 +410,4 @@ def test_a_prefix_round_answers_and_fails_as_its_list(kind, data):
         outcomes.append(("answered", charged[0] - before[0], charged[1] - before[1], rows))
     assert outcomes[0] == outcomes[1]
     if outcomes[0][0] == "answered":
-        assert outcomes[0][1:3] == ((d + 1) * (len(cands) + 1), 1)
+        assert outcomes[0][1:3] == (sum(len(c) + 1 for c in row_cands), 1)
