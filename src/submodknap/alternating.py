@@ -6,7 +6,9 @@ other on even steps, each drawing from the elements the other has not taken.
 A second phase then augments every prefix of both candidates with its best
 feasible extra element (two adaptive rounds total) and, when the first batch
 plus all tiny-cost elements are cheap enough, runs one round of unconstrained
-maximization over them.  The best of all recorded candidates wins.
+maximization over them.  The best of the two candidates, their best
+augmented prefixes and the unconstrained round's set wins; the estimator's
+set is recorded among the candidates but not compared.
 
 Adaptive depth is the selling point: the grid has a fixed length, each
 sampled batch costs a logarithmic number of rounds, and the augmentation
@@ -433,7 +435,7 @@ def ast(oracle, instance, config=None):
     x_order, y_order, x_after_first, y_after_second, skipped, (x_bounds, y_bounds) = (
         threshold_loop(oracle, instance, rest, grid, config, rng, estimate.singleton_gains)
     )
-    loop_queries, loop_rounds = ledger.snapshot()
+    loop_rounds = ledger.adaptive_rounds
 
     s1 = None
     s1_value = None
@@ -441,7 +443,7 @@ def ast(oracle, instance, config=None):
     if instance.cost_of(boost_ground) <= config.epsilon * instance.budget:
         samples = math.ceil(1.0 / config.epsilon)
         s1, s1_value = unsub_max(oracle, boost_ground, samples, rng)
-    unsub_queries, unsub_rounds = ledger.snapshot()
+    unsub_rounds = ledger.adaptive_rounds
 
     gains = estimate.singleton_gains
     x_value, x_best = augment_prefixes(oracle, instance, x_order, gains, x_bounds)

@@ -206,10 +206,10 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     is what ``ndarray.sum`` calls, or, over fewer than ``SMALL_POOL``
     survivors, are Python float sums in the same order (:func:`_small_rules`);
     and the survivor positions that a step gain needs are indexed only when
-    a row before t* reads one.  The survivors' ids and costs carry from
-    sweep to sweep as lists, which ``get_seq`` draws from, and each sweep's
-    groups go to the oracle as one :class:`~submodknap.core.PrefixRound`,
-    checked once.
+    a row before t* reads one.  The survivors carry from sweep to sweep as
+    one id array; each sweep reads their ids and costs from it once, as
+    the lists ``get_seq`` draws from, and sends its groups to the oracle as
+    one :class:`~submodknap.core.PrefixRound`, checked once.
     """
     base = tuple(base)
     if bound is None:
@@ -239,19 +239,19 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     live_costs = costs[live]
     high = _clears(gains, live_costs, 0.0, threshold, residual)
     surviving_gain = _sum(np.where(high, gains, 0.0))
-    # the survivors, as an array and as lists of ids and of costs
     survivors = live[high]
-    ids = survivors.tolist()
-    surv_costs = live_costs[high].tolist()
 
-    while ids and count < params.accept_cap:
+    while survivors.size and count < params.accept_cap:
+        ids = survivors.tolist()
+        pool_costs = costs[survivors]
+        surv_costs = pool_costs.tolist()
         seq = get_seq(accepted, ids, instance, instance.budget - residual, rng, surv_costs)
         d = len(seq)
         if d == 0:
             # unreachable in exact arithmetic (every survivor fits alone);
             # at the budget boundary rounding can leave survivors that no
             # canonical cost sum admits, so they are dropped
-            ids = []
+            survivors = survivors[:0]
             break
         # sequential sums, as np.cumsum makes them
         prefix_costs = list(accumulate(costs[seq].tolist(), initial=0.0))
@@ -262,15 +262,12 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
             PrefixRound(base + tuple(accepted), seq, [survivors] * (d + 1))
         )
 
+        pool_cost = float(_sum(pool_costs))
         # small pools take the rules on Python floats, bit for bit the same
-        small = len(ids) < SMALL_POOL
-        if small:
-            pool_cost = 0.0
-            for c in surv_costs:  # np.add.reduce's order (see _small_rules)
-                pool_cost += c
+        if len(ids) < SMALL_POOL:
+            rules, rule_costs, row_form = _small_rules, surv_costs, np.ndarray.tolist
         else:
-            cost_arr = costs[survivors]
-            pool_cost = float(_sum(cost_arr))
+            rules, rule_costs, row_form = _rules, pool_costs, np.asarray
         surv_index = None  # survivor id -> position, built when a step gain is read
 
         # t* is the first prefix length t at which the mass rule (t1) or the
@@ -281,18 +278,12 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
         damage_prefix = 0.0  # negative marginals of the drawn elements so far
         for t in range(1 if row_0_inert else 0, d + 1):
             gains = rows[t]
+            gains_t = row_form(gains)
             # survivors after prefix t: still worth taking once it is accepted
             spent = accepted_cost + prefix_costs[t]
-            if small:
-                gains_t = gains.tolist()
-                high, remaining_mass, surviving_gain, negative_gain = _small_rules(
-                    gains_t, surv_costs, spent, threshold, residual
-                )
-            else:
-                gains_t = gains
-                high, remaining_mass, surviving_gain, negative_gain = _rules(
-                    gains, cost_arr, spent, threshold, residual
-                )
+            high, remaining_mass, surviving_gain, negative_gain = rules(
+                gains_t, rule_costs, spent, threshold, residual
+            )
             mass_rule = remaining_mass <= (1.0 - epsilon) * pool_cost
             damage_rule = epsilon * surviving_gain <= negative_gain + damage_prefix
             if mass_rule or damage_rule or t == d:
@@ -314,14 +305,8 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
             count += 1
 
         # the survivors past the extended accepted set are row t_star; the
-        # elements just accepted gain exactly 0 there, so they drop out
-        if small:
-            ids = [e for e, keep in zip(ids, high) if keep]
-            surv_costs = [c for c, keep in zip(surv_costs, high) if keep]
-            survivors = np.array(ids, dtype=np.intp)
-        else:
-            survivors = survivors[high]
-            ids = survivors.tolist()
-            surv_costs = cost_arr[high].tolist()
+        # elements just accepted gain exactly 0 there, so they drop out.
+        # numpy indexes with a list of bools as with a bool array
+        survivors = survivors[high]
 
-    return RandBatchOutput(tuple(accepted), tuple(ids), count)
+    return RandBatchOutput(tuple(accepted), tuple(survivors.tolist()), count)

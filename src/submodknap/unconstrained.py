@@ -22,7 +22,7 @@ def unsub_max(oracle, ground, samples, rng):
     """
     if samples < 1:
         raise ValueError("need at least one random subset")
-    ground = tuple(int(e) for e in as_id_array(ground).tolist())
+    ground = tuple(as_id_array(ground).tolist())
     if not ground:
         return (), 0.0
     keep = rng.random((samples, len(ground))) < 0.5

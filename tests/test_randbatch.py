@@ -395,11 +395,21 @@ class TestRandBatch:
 
 
 @pytest.mark.parametrize("kind", ["cut", "signed_image_summ"])
-def test_sweep_read_to_t_star_matches_the_frozen_copy(kind):
+def test_sweep_read_to_t_star_matches_the_frozen_copy(monkeypatch, kind):
     # the frozen copy computes every sweep row and takes t* = min(t1, t2)
     # over all of them; here rows are read only up to t*.  Budgets, floors
-    # and acceptance caps vary from call to call.
+    # and acceptance caps vary from call to call, and some calls' survivor
+    # pools shrink from SMALL_POOL or more to fewer, so that one call runs
+    # both forms of the stopping rules.
     from test_lazy_filter import baseline
+
+    pools = []  # survivor pool size of each sweep of the current call
+
+    def logged_get_seq(current, pool, *args, **kwargs):
+        pools.append(len(pool))
+        return get_seq(current, pool, *args, **kwargs)
+
+    monkeypatch.setattr(submodknap.randbatch, "get_seq", logged_get_seq)
 
     rng = np.random.default_rng(12)
     n = 20
@@ -416,9 +426,10 @@ def test_sweep_read_to_t_star_matches_the_frozen_copy(kind):
             return package.objectives.ImageSummaryObjective(matrix)
 
     costs = 0.1 + rng.random(n)
-    accepted = 0
+    accepted = crossings = 0
     for seed in range(40):
         outs = []
+        pools.clear()
         for package in (submodknap, baseline):
             objective = build(package)
             budget = (0.1 + 0.1 * (seed % 5)) * float(costs.sum())
@@ -427,14 +438,18 @@ def test_sweep_read_to_t_star_matches_the_frozen_copy(kind):
             params = package.RandBatchParams(
                 threshold=(0.05 + 0.1 * (seed % 7)) * float(dens.max()), accept_cap=1 + seed % 3
             )
+            sampler_rng = np.random.default_rng(seed)
             out = package.rand_batch(
-                package.CountingOracle(objective), tuple(range(n)), params, instance,
-                np.random.default_rng(seed),
+                package.CountingOracle(objective), tuple(range(n)), params, instance, sampler_rng
             )
-            outs.append((out.accepted, out.surviving, out.damage_count))
+            outs.append(
+                (out.accepted, out.surviving, out.damage_count, sampler_rng.bit_generator.state)
+            )
         assert outs[0] == outs[1]
         accepted += len(outs[0][0])
+        crossings += bool(pools) and pools[0] >= SMALL_POOL > pools[-1]
     assert accepted > 40
+    assert crossings > 0
 
 
 @pytest.mark.parametrize("kind", ["cut", "signed_image_summ"])
@@ -485,6 +500,39 @@ def test_row_0_is_read_when_its_damage_rule_underflows():
         outs.append((out.accepted, out.surviving, out.damage_count))
     assert outs[0] == outs[1] == ((), (0, 1, 2, 3), 3)
     assert logs[0].bases == [(), (), (), ()]  # the filter, then row 0 of three sweeps
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_empty_draw_drops_the_survivors_as_the_frozen_copy_does(monkeypatch, seed):
+    # the budget is the two costs' sum: after the first element is accepted
+    # the survivor rule's spent + c <= B keeps the second, but get_seq's
+    # room B - spent rounds below its cost, so the next draw is empty
+    from test_lazy_filter import baseline
+
+    costs = (0.763774618976614, 0.2550690257394217)
+    budget = 1.0188436447160356
+    seqs = []
+
+    def logged_get_seq(*args, **kwargs):
+        seqs.append(get_seq(*args, **kwargs))
+        return seqs[-1]
+
+    monkeypatch.setattr(submodknap.randbatch, "get_seq", logged_get_seq)
+    results = []
+    for package in (submodknap, baseline):
+        oracle = package.CountingOracle(package.ModularObjective([1.0, 1.0]))
+        rng = np.random.default_rng(seed)
+        out = package.rand_batch(
+            oracle, (0, 1), package.RandBatchParams(threshold=1e-3, accept_cap=5),
+            package.KnapsackInstance(np.array(costs), budget), rng,
+        )
+        results.append(
+            (out.accepted, out.surviving, out.damage_count, oracle.ledger.snapshot(),
+             rng.bit_generator.state)
+        )
+    assert seqs[-1] == []
+    assert results[0][1] == ()
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize(
