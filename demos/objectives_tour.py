@@ -40,7 +40,7 @@ print(f"  node costs in ({graph.node_costs.min():.4f}, {graph.node_costs.max():.
 # every objective is submodular: gains shrink as the context grows
 objective = sk.CutObjective(graph)
 empty_gain = objective(np.array([5])) - 0.0
-big = np.arange(40)
+big = np.arange(6, 46)  # 40 others, none of them element 5
 big_gain = objective(np.append(big, 5)) - objective(big)
 print(f"\ndiminishing returns for element 5: gain {empty_gain:.3f} alone, "
       f"{big_gain:.3f} after 40 others")

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import PrefixRound, as_id_array, in_range
+from .core import PrefixRound, as_id_array, checked_ids
 from .estimator import ESTIMATORS, check_grid_params, gamma_and_guesses
 from .randbatch import BOUND_SLACK, RandBatchParams, rand_batch, slackened
 from .unconstrained import unsub_max
@@ -251,10 +251,7 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
     Returns ``(value_of_full_set, (augmented_ids, value))``, the second
     ``None`` for an empty ``order``.
     """
-    order = as_id_array(order)
-    if order.size and not in_range(order, instance.n):
-        raise ValueError("element id out of range for this ground set")
-    order = tuple(order.tolist())
+    order = tuple(checked_ids(order, instance.n).tolist())
     costs = instance.costs
     budget = instance.budget
     row_cands = [np.empty(0, dtype=np.intp)]  # row 0: the empty base, alone

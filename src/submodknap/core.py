@@ -57,11 +57,14 @@ _max = np.maximum.reduce  # what ndarray.max calls, without its Python wrapper
 _sum = np.add.reduce  # and ndarray.sum
 
 
-def in_range(arr, n):
-    """Whether every id of the non-empty ``intp`` array ``arr`` lies in
-    ``[0, n)``: a negative id reads as a ``uintp`` past every id, so one
-    max checks both ends."""
-    return _max(arr.view(_UINTP)) < n
+def checked_ids(ids, n):
+    """:func:`as_id_array` of ``ids``, with ``ValueError`` unless every id
+    lies in ``[0, n)``.  A negative id reads as a ``uintp`` past every id,
+    so one max checks both ends.  Repeats are not looked for."""
+    arr = as_id_array(ids)
+    if arr.size and _max(arr.view(_UINTP)) >= n:
+        raise ValueError("element id out of range for this ground set")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,10 @@ class KnapsackInstance:
         return int(np.searchsorted(prefix, self.budget, side="right"))
 
     def cost_of(self, ids):
-        """Total cost of a set, summed in ascending-id order.  Raises
-        ``ValueError`` for an id outside the ground set."""
+        """Total cost of the ids as given (a repeated id counts twice),
+        summed in ascending-id order.  An id outside the ground set raises
+        ``ValueError``: the ends of the array it sorts anyway show one, so
+        it needs no :func:`checked_ids` pass."""
         arr = as_id_array(ids)
         if arr.size == 0:
             return 0.0
@@ -228,10 +233,6 @@ class CountingOracle:
         # base id tuple -> gain state, least recently used first
         self._states = {}
 
-    def _check_ids(self, arr):
-        if arr.size and not in_range(arr, self.n):
-            raise ValueError("element id out of range for this ground set")
-
     def _check_base(self, key):
         """Raise ``ValueError`` unless the base ``key``, a tuple of Python
         ints, is a set of ids of this ground set."""
@@ -256,8 +257,7 @@ class CountingOracle:
 
     def _checked_candidates(self, candidates):
         """``candidates`` as a checked id array of the oracle's own."""
-        arr = as_id_array(candidates)
-        self._check_ids(arr)
+        arr = checked_ids(candidates, self.n)
         if arr is candidates:  # read later: keep the ids of now
             arr = arr.copy()
         return arr
@@ -315,7 +315,7 @@ class CountingOracle:
         may repeat; each is its own query.  Returns an
         :class:`ExtensionGains`, one gains array per group aligned to the
         candidate order (empty for a group with no candidates), each
-        computed the first time it is read.  A :class:`PrefixRound` is
+        computed when it is read.  A :class:`PrefixRound` is
         checked as one round (see the class docstring's "Prefix rounds").
         """
         if type(groups) is PrefixRound:
@@ -368,7 +368,8 @@ class CountingOracle:
     def exact_value(self, ids):
         """From-scratch ``f(ids)`` of a set already charged as a base or an
         extension (or of the empty set, 0 by contract); charges nothing.
-        Every value a caller reports is read from here."""
+        Every value a caller reports is read from here; ``__call__`` raises
+        :meth:`evaluate`'s ``ValueError`` for an out-of-range or repeated id."""
         return float(self.objective(ids))
 
     def marginal_batch(self, base, candidates):
@@ -407,11 +408,11 @@ class PrefixRound(Sequence):
 class ExtensionGains(Sequence):
     """The answers of one :meth:`CountingOracle.evaluate_extensions` round.
 
-    Item ``i`` is group ``i``'s gains array, computed the first time it is
-    read and kept; indexing, iteration, unpacking and slices (a list) all
-    read it.  :meth:`read` gives only some of a group's gains.  The round
-    was checked and charged in full when it was issued, so reading charges
-    nothing, and a group nobody reads is never computed.
+    Item ``i`` is group ``i``'s gains array, computed each time it is read;
+    nothing is kept.  Indexing, iteration, unpacking and slices (a list)
+    all read it.  :meth:`read` gives only some of a group's gains.  The
+    round was checked and charged in full when it was issued, so reading
+    charges nothing, and a group nobody reads is never computed.
     """
 
     def __init__(self, oracle, groups):
@@ -419,7 +420,6 @@ class ExtensionGains(Sequence):
         # (base id tuple, candidate id array) per group: a list, or a
         # PrefixRound that builds a group's key when it is read
         self._groups = groups
-        self._rows = [None] * len(groups)
 
     def __len__(self):
         return len(self._groups)
@@ -427,17 +427,11 @@ class ExtensionGains(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        row = self._rows[index]
-        if row is None:
-            row = self._rows[index] = self._oracle._gains(*self._groups[index])
-        return row
+        return self._oracle._gains(*self._groups[index])
 
     def read(self, index, positions):
         """The gains of group ``index``'s candidates at ``positions`` (an
         index array), bit for bit the same entries of the whole array; only
-        those are computed when the whole array has not been read."""
-        row = self._rows[index]
-        if row is not None:
-            return row[positions]
+        those are computed."""
         key, cands = self._groups[index]
         return self._oracle._gains(key, cands[positions])

@@ -16,9 +16,9 @@ The objective contract.  Every objective offers what
 offers it can be solved:
 
 - ``n``: the ground-set size;
-- ``__call__(ids)``: ``f(ids)`` from scratch; ids are sorted internally, so
-  the value does not depend on insertion order.  ``f`` is a pure function
-  of the set, with ``f(empty) = 0``;
+- ``__call__(ids)``: ``f(ids)`` from scratch, for distinct ids of the
+  ground set in any order; any other ids raise ``evaluate``'s
+  ``ValueError``.  ``f`` is a pure function of the set, with ``f(empty) = 0``;
 - ``state()``: the gain state of the empty base.  Every other state is
   built from it by ``extend``;
 - ``extend(state, e)``: the state of ``base + (e,)`` for an id ``e``
@@ -58,7 +58,7 @@ import math
 
 import numpy as np
 
-from .core import as_id_array
+from .core import checked_ids
 
 
 class ParseError(ValueError):
@@ -241,6 +241,15 @@ def _is_symmetric(mat):
     return True
 
 
+def _id_set(ids, n):
+    """``ids`` sorted, checked as ``CountingOracle.evaluate`` checks a set
+    (distinct ids of a ground set of ``n``) and raising its messages."""
+    ids = np.sort(checked_ids(ids, n))
+    if (ids[1:] == ids[:-1]).any():
+        raise ValueError("a queried set repeats an element id")
+    return ids
+
+
 def _members(n, ids):
     """Boolean mask of ``ids`` over a ground set of ``n`` elements."""
     inside = np.zeros(n, dtype=bool)
@@ -291,7 +300,7 @@ class CutObjective(_GraphObjective):
         self._degrees = graph.weighted_degrees()
 
     def __call__(self, ids):
-        ids = np.sort(as_id_array(ids))
+        ids = _id_set(ids, self.n)
         if ids.size == 0 or ids.size == self.n:
             return 0.0
         inside = _members(self.n, ids)
@@ -311,7 +320,7 @@ class RevenueObjective(_GraphObjective):
     total edge weight linking them to the selected set."""
 
     def __call__(self, ids):
-        ids = np.sort(as_id_array(ids))
+        ids = _id_set(ids, self.n)
         if ids.size == 0:
             return 0.0
         pos = _row_block_positions(self._indptr, ids)
@@ -352,7 +361,7 @@ class ImageSummaryObjective:
         return self._submodular
 
     def __call__(self, ids):
-        ids = np.sort(as_id_array(ids))
+        ids = _id_set(ids, self.n)
         if ids.size == 0:
             return 0.0
         cols = self._sim[:, ids]
@@ -396,7 +405,7 @@ class ModularObjective:
         return True
 
     def __call__(self, ids):
-        ids = np.sort(as_id_array(ids))
+        ids = _id_set(ids, self.n)
         if ids.size == 0:
             return 0.0
         return float(self.values[ids].sum())
@@ -429,7 +438,7 @@ class SumObjective:
         return all(getattr(p, "submodular", False) for p in self.parts)
 
     def __call__(self, ids):
-        ids = as_id_array(ids)
+        ids = _id_set(ids, self.n)
         return float(sum(p(ids) for p in self.parts))
 
     def state(self):

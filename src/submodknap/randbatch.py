@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import PrefixRound, _sum, as_id_array, in_range
+from .core import PrefixRound, _sum, checked_ids
 
 
 @dataclass(frozen=True)
@@ -214,9 +214,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     base = tuple(base)
     if bound is None:
         bound = np.full(instance.n, np.inf)
-    pool = as_id_array(pool)
-    if pool.size and not in_range(pool, instance.n):
-        raise ValueError("element id out of range for this ground set")
+    pool = checked_ids(pool, instance.n)
     costs = instance.costs
     epsilon = params.epsilon
     threshold = params.threshold

@@ -8,12 +8,16 @@ from submodknap import (
     BatchContractError,
     CountingOracle,
     CutObjective,
+    ImageSummaryObjective,
     KnapsackInstance,
     ModularObjective,
+    RevenueObjective,
+    SumObjective,
     as_id_array,
     ast,
     density_greedy,
     gen_erdos_renyi,
+    similarity_from_features,
 )
 
 
@@ -242,6 +246,35 @@ class TestRepeatedIds:
         with pytest.raises(ValueError):
             oracle.evaluate_batch([(0,), (1, 2), (2, 2)])
         assert seen == [] and oracle.ledger.snapshot() == (0, 0)
+
+    @pytest.mark.parametrize("kind", ["cut", "revenue", "image_summ", "modular", "sum"])
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((3, 5, 3), "a queried set repeats an element id"),
+            (np.array([5, 3, 5]), "a queried set repeats an element id"),
+            ((3, -1), "element id out of range for this ground set"),
+            ((3, 20), "element id out of range for this ground set"),
+        ],
+        ids=["repeat", "repeat-array", "negative", "past-n"],
+    )
+    def test_objectives_and_exact_value_raise_what_evaluate_raises(self, kind, ids, message):
+        graph = gen_erdos_renyi(20, 0.3, seed=1)
+        objective = {
+            "cut": lambda: CutObjective(graph),
+            "revenue": lambda: RevenueObjective(graph),
+            "image_summ": lambda: ImageSummaryObjective(
+                similarity_from_features(np.random.default_rng(0).random((20, 8)))
+            ),
+            "modular": lambda: ModularObjective(np.arange(1.0, 21.0)),
+            "sum": lambda: SumObjective(CutObjective(graph), ModularObjective(np.ones(20))),
+        }[kind]()
+        oracle = CountingOracle(objective)
+        for call in (oracle.evaluate, objective, oracle.exact_value):
+            with pytest.raises(ValueError) as info:
+                call(ids)
+            assert str(info.value) == message
+        assert oracle.ledger.snapshot() == (0, 0)
 
     def test_repeated_candidates_are_separate_queries(self):
         oracle = make_modular_oracle()

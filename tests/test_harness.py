@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +286,20 @@ class TestConfigFile:
             assert flag in capsys.readouterr().err
 
 
+def readme_flags():
+    """Subcommand -> the flags README's "Flags, with their defaults" list
+    names for it: each bullet names its subcommands before its first colon
+    and their flags after it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = readme.split("Flags, with their defaults:\n\n", 1)[1].split("\n\n", 1)[0]
+    flags = {}
+    for bullet in bullets.split("\n- "):
+        head, _, body = bullet.partition(":")
+        for command in re.findall(r"`([a-z-]+)`", head):
+            flags.setdefault(command, set()).update(re.findall(r"`(--[a-z-]+)`", body))
+    return flags
+
+
 def captured_specs(monkeypatch, argv):
     """Specs the CLI would run for ``argv``, without running them."""
     specs = []
@@ -340,6 +356,21 @@ class TestCli:
             main(["run", "--config", str(cfg)])
         assert exit_info.value.code == 2
         assert f"unknown keys: {key}" in capsys.readouterr().err
+
+    def test_readme_lists_every_flag_of_every_subcommand(self, capsys):
+        def help_text(*argv):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--help"])
+            assert exit_info.value.code == 0
+            return capsys.readouterr().out
+
+        commands = re.search(r"\{([a-z,-]+)\}", help_text()).group(1).split(",")
+        documented = readme_flags()
+        assert set(commands) == set(documented)
+        for command in commands:
+            listed = set(re.findall(r"^  (--[a-z-]+)", help_text(command), re.M))
+            assert listed, command
+            assert listed <= documented[command], (command, listed - documented[command])
 
     @pytest.mark.parametrize(
         "objective, flags, rejected",
