@@ -109,7 +109,9 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     any other objective every step filters its whole fitting pool.  Returns
     both selection orders, snapshots of the first candidate after step one
     and the second after step two, the number of such skipped steps with a
-    non-empty pool, and each side's copies of its bounds (below).
+    non-empty pool, and each side's copies of its bounds (below).  Each
+    side also keeps its budget left, ``budget - cost_of(order)``, summed
+    again only when its order grows, and passes it to ``rand_batch``.
 
     Each side keeps the ``ceiling`` of its last ``rand_batch`` call (+inf
     after a query) and skips, without a call, the steps whose threshold is
@@ -147,6 +149,8 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     skipped = 0
     ledger = oracle.ledger
     use_bounds = getattr(oracle.objective, "submodular", False)
+    budget = instance.budget
+    residuals = [budget, budget]  # each side's budget - cost_of(order)
     for i in range(1, grid.num_thresholds + 1):
         theta = grid.gamma * (1.0 - config.epsilon) ** i
         side = 1 - i % 2
@@ -158,11 +162,12 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
             )
             out = rand_batch(
                 oracle, pool, params, instance, rng, base=tuple(order),
-                bound=bounds[side] if use_bounds else None,
+                bound=bounds[side] if use_bounds else None, residual=residuals[side],
             )
             ceilings[side] = out.ceiling
             if out.accepted:
                 order.extend(out.accepted)
+                residuals[side] = budget - instance.cost_of(order)
                 taken[list(out.accepted)] = True
                 pool = pool[~taken[pool]]
             if use_bounds and ledger.adaptive_rounds > rounds:

@@ -91,8 +91,9 @@ def density_greedy_trace(oracle, instance):
     When any other element qualifies, the step reads all of them in id
     order, the first one's gain again included, and takes the first
     maximum density among them: the same pick, and the same tie, as a whole
-    row.  An element whose slackened bound is non-positive is never read
-    again.  On any other objective every row is read whole.
+    row.  When none does, the step takes its bound update, stop test and
+    pick on that one gain.  An element whose slackened bound is
+    non-positive is never read again.  On any other objective every row is read whole.
     """
     costs = instance.costs
     budget = instance.budget
@@ -117,12 +118,23 @@ def density_greedy_trace(oracle, instance):
         if prune and selected:
             ceiling = slackened(bound[fits]) / fit_costs
             top = int(np.argmax(ceiling))
-            gains = answers.read(0, np.array([top]))
-            live = ceiling >= gains[0] / fit_costs[top] if gains[0] > 0.0 else ceiling > 0.0
+            gain = answers.read(0, np.array([top]))[0]
+            live = ceiling >= gain / fit_costs[top] if gain > 0.0 else ceiling > 0.0
             live[top] = True
             read = np.flatnonzero(live)
-            if read.size > 1:  # top's gain again, with the others in id order
-                gains = answers.read(0, read)
+            if read.size == 1:
+                # top alone can win: its bound, stop test and pick on the
+                # one scalar, as the arrays below would take them
+                best = int(fits[top])
+                bound[best] = min(gain, bound[best])
+                if not gain > 0.0:
+                    break
+                j = top
+                selected += (best,)
+                used += costs[best]
+                value += gain
+                continue
+            gains = answers.read(0, read)  # top's gain again, with the others in id order
         else:
             read = np.arange(fits.size)
             gains = answers[0]

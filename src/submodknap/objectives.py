@@ -58,7 +58,7 @@ import math
 
 import numpy as np
 
-from .core import checked_ids
+from .core import _sum, checked_ids
 
 
 class ParseError(ValueError):
@@ -352,7 +352,8 @@ class ImageSummaryObjective:
     def __init__(self, matrix):
         self.n = matrix.n
         self._sim = matrix.sim
-        self._colsum = matrix.sim.sum(axis=0)
+        # each element's penalty, colsum[u] / n, divided once here
+        self._penalty = matrix.sim.sum(axis=0) / self.n
         self._submodular = bool(matrix.sim.min() >= 0.0)
 
     @property
@@ -385,7 +386,7 @@ class ImageSummaryObjective:
         if cur is not None:
             rows -= cur
             np.maximum(rows, 0.0, out=rows)
-        gains = rows.sum(axis=1) - self._colsum[cands] / self.n
+        gains = _sum(rows, axis=1) - self._penalty[cands]
         return np.where(inside[cands], 0.0, gains)
 
 

@@ -74,37 +74,44 @@ def get_seq(current, pool, instance, external_cost, rng, pool_costs=None):
 
     Elements are drawn uniformly without replacement; the sequence stops once
     no remaining element fits next to ``current`` plus ``external_cost``
-    within the budget.  Requires ``pool`` to be disjoint from ``current``.
-    Each pick is one ``rng.integers(k)`` call, ``k`` the number of elements
-    that still fit, in pool order.  Pool costs are read once, as Python
-    floats: the same doubles, so the same draws as comparing numpy scalars.
-    A caller that holds them already, aligned to ``pool``, passes them as
-    ``pool_costs``.
+    within the budget.  Requires ``pool`` to hold distinct ids, disjoint
+    from ``current``.  While ``k > 1`` elements still fit, each pick is one
+    ``rng.integers(k)`` call, indexing them in pool order; a lone element
+    that fits is taken without a call, since ``rng.integers(1)`` returns 0
+    and leaves the generator as it was.  Pool costs are read once, as
+    Python floats: the same doubles, so the same draws as comparing numpy
+    scalars.  A caller that holds them already, aligned to ``pool``, passes
+    them as ``pool_costs``.
+
+    The elements that still fit are kept as one list: a pick leaves it in
+    place, and the others are dropped only once the largest cost in it no
+    longer fits the room left, so a draw does not rescan the list after
+    every pick.
     """
     pool = list(pool)
     room = instance.budget - external_cost - instance.cost_of(current)
     if pool_costs is None:
         pool_costs = instance.costs[pool].tolist()
     candidates = [(e, c) for e, c in zip(pool, pool_costs) if c <= room]
+    top = max([c for _, c in candidates], default=0.0)  # no cost in the list is larger
     seq = []
     while candidates:
-        pick, cost = candidates[int(rng.integers(len(candidates)))]
+        k = len(candidates)
+        pick, cost = candidates.pop(int(rng.integers(k)) if k > 1 else 0)
         seq.append(pick)
         room -= cost
-        candidates = [(e, c) for e, c in candidates if e != pick and c <= room]
+        if top > room:
+            candidates = [(e, c) for e, c in candidates if c <= room]
+            top = max([c for _, c in candidates], default=0.0)
     return seq
-
-
-def _clears(gains, elem_costs, spent, threshold, residual):
-    """Survivor rule: the gain per unit cost clears ``threshold`` and the
-    element still fits next to ``spent`` within ``residual``."""
-    return (gains / elem_costs >= threshold) & (spent + elem_costs <= residual)
 
 
 def _rules(gains, elem_costs, spent, threshold, residual):
     """One sweep row's survivor mask, and the sums its stopping rules test:
-    the survivors' cost and gain, and the pool's negative gains."""
-    high = _clears(gains, elem_costs, spent, threshold, residual)
+    the survivors' cost and gain, and the pool's negative gains.  An
+    element survives when its gain per unit cost clears ``threshold`` and
+    it still fits next to ``spent`` within ``residual``."""
+    high = (gains / elem_costs >= threshold) & (spent + elem_costs <= residual)
     return (
         high,
         _sum(np.where(high, elem_costs, 0.0)),
@@ -148,13 +155,16 @@ def slackened(bound):
     return bound + BOUND_SLACK * np.maximum(1.0, np.abs(bound))
 
 
-def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
+def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None, residual=None):
     """Select a batch of elements whose conditional density clears a floor.
 
     Works against the conditioned function ``g(.) = f(. | base)``: marginals
     are taken past ``base`` and all feasibility checks are against the budget
     left after paying for ``base``.  With an empty ``base`` this is plain
-    threshold sampling on ``f``.
+    threshold sampling on ``f``.  ``residual`` is that budget left,
+    ``instance.budget - instance.cost_of(base)``: a caller that keeps it
+    passes it, as the threshold loop does with each candidate's, re-summed
+    only when the candidate grows; ``None`` sums it here.
 
     ``bound`` is an array over the ground set whose entry ``u`` bounds
     ``f(u | base)`` from above; ``None`` stands for +inf everywhere.  By
@@ -173,12 +183,15 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     reports the largest density it tested as the output's ``ceiling``.
     While that stays below a threshold, a later call with the same
     ``bound`` and ``base`` over a subset of the pool queries nothing
-    either.  Then one round per prefix-drawing iteration (survivor
-    refilters reuse marginals already queried in the sweep).  Each
-    iteration's sweep is charged and checked in full when it is issued,
-    all d + 1 rows, but a row is computed only when read: rows are read in
-    order and reading stops at row t*, so rows past it cost nothing but
-    their charge.
+    either.  The filter tests the queried elements on density alone: each
+    already fits alone, and ``0.0 + c == c``, so the survivor rule's fit
+    term holds for all of them.  When none survives, the call returns
+    there, before any survival sum, leaving ``rng`` untouched.  Then one
+    round per prefix-drawing iteration (survivor refilters reuse marginals
+    already queried in the sweep).  Each iteration's sweep is charged and
+    checked in full when it is issued, all d + 1 rows, but a row is
+    computed only when read: rows are read in order and reading stops at
+    row t*, so rows past it cost nothing but their charge.
 
     Row 0 is not read either.  Its base, the spent cost and the survivors
     are those of the check that made the survivors: the filter for the
@@ -218,26 +231,30 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None):
     costs = instance.costs
     epsilon = params.epsilon
     threshold = params.threshold
-    residual = instance.budget - instance.cost_of(base)
+    if residual is None:
+        residual = instance.budget - instance.cost_of(base)
 
     pool_costs = costs[pool]
     density = slackened(bound[pool]) / pool_costs
     fit = pool_costs <= residual
-    live = pool[(density >= threshold) & fit]
+    live_mask = (density >= threshold) & fit
+    live = pool[live_mask]
     if not live.size:
         return RandBatchOutput((), (), 0, float(density[fit].max()) if fit.any() else -np.inf)
+
+    # initial survivor filter: one marginal batch over the live elements,
+    # which all fit alone, so density alone decides (see the docstring)
+    gains = oracle.marginal_batch(base, live)
+    bound[live] = np.minimum(bound[live], gains)
+    high = gains / pool_costs[live_mask] >= threshold
+    survivors = live[high]
+    if not survivors.size:
+        return RandBatchOutput((), (), 0)
+    surviving_gain = _sum(np.where(high, gains, 0.0))
 
     accepted = []
     accepted_cost = 0.0
     count = 0
-
-    # initial survivor filter: one marginal batch over the live elements
-    gains = oracle.marginal_batch(base, live)
-    bound[live] = np.minimum(bound[live], gains)
-    live_costs = costs[live]
-    high = _clears(gains, live_costs, 0.0, threshold, residual)
-    surviving_gain = _sum(np.where(high, gains, 0.0))
-    survivors = live[high]
 
     while survivors.size and count < params.accept_cap:
         ids = survivors.tolist()

@@ -8,6 +8,8 @@ from submodknap import (
     CutObjective,
     KnapsackInstance,
     ModularObjective,
+    SumObjective,
+    WeightedGraph,
     brute_force_opt,
     density_greedy,
     density_greedy_trace,
@@ -102,8 +104,8 @@ class TestDensityGreedy:
 def _assert_greedy_matches_naive(objective, instance):
     """``density_greedy_trace`` against ``naive_density_greedy`` on fresh
     oracles: order, value and singleton gains bit for bit, the same ledger.
-    Returns the trace, the number of gains it computed and the number of
-    candidates it was charged for."""
+    Returns the trace, the ``GainsLog`` of the gains it computed and the
+    number of candidates it was charged for."""
     naive_oracle = CountingOracle(objective)
     order, value, singles = naive_density_greedy(naive_oracle, instance)
     log = GainsLog(objective)
@@ -114,7 +116,7 @@ def _assert_greedy_matches_naive(objective, instance):
     assert np.array_equal(trace.singleton_gains, singles)
     assert oracle.ledger.snapshot() == naive_oracle.ledger.snapshot()
     queries, rounds = oracle.ledger.snapshot()  # one query per round is the base's
-    return trace, sum(map(len, log.candidates)), queries - rounds
+    return trace, log, queries - rounds
 
 
 class TestDensityGreedyMatchesNaive:
@@ -128,8 +130,8 @@ class TestDensityGreedyMatchesNaive:
         for _ in range(3):
             objective, costs = _differential_case(kind, rng)
             instance = KnapsackInstance(costs, budget_fraction * float(np.sort(costs).sum()))
-            _, read, paid = _assert_greedy_matches_naive(objective, instance)
-            computed += read
+            _, log, paid = _assert_greedy_matches_naive(objective, instance)
+            computed += sum(map(len, log.candidates))
             charged += paid
         if kind == "signed_image_summ":
             assert computed == charged
@@ -164,6 +166,29 @@ class TestDensityGreedyMatchesNaive:
         instance = KnapsackInstance(np.ones(4), 4.0)
         trace, _, _ = _assert_greedy_matches_naive(objective, instance)
         assert trace.order == (0, 2) and trace.value == 5.0
+
+    def test_rounds_that_read_only_the_top_element(self):
+        # past {0} element 1 has the top bound density, gains 2.0, and
+        # element 2's slackened bound density is below that, so the round
+        # reads element 1 alone and picks it; past {0, 1} element 2 is the
+        # only candidate left
+        objective = ModularObjective([3.0, 2.0, 1.0])
+        trace, log, _ = _assert_greedy_matches_naive(objective, KnapsackInstance(np.ones(3), 3.0))
+        assert trace.order == (0, 1, 2) and trace.value == 6.0
+        assert log.bases == [(), (0,), (0, 1)]
+        assert log.candidates == [(0, 1, 2), (1,), (2,)]
+
+    def test_a_round_that_reads_only_the_top_element_and_stops(self):
+        # 0 and 1 share an edge, so past {0} element 1 gains -1.0; element
+        # 2's bound, -1.0, is negative, so only element 1 is read, and its
+        # gain ends the run
+        objective = SumObjective(
+            CutObjective(WeightedGraph(3, [(0, 1, 1.0)])), ModularObjective([0.0, 0.0, -1.0])
+        )
+        trace, log, _ = _assert_greedy_matches_naive(objective, KnapsackInstance(np.ones(3), 3.0))
+        assert trace.order == (0,) and trace.value == 1.0
+        assert log.bases == [(), (0,)]
+        assert log.candidates == [(0, 1, 2), (1,)]
 
 
 # (objective, order, value, (queries, rounds)) of density greedy on the

@@ -102,13 +102,26 @@ class TestGetSeqMatchesTheFrozenCopy:
         cut = int(rng.integers(0, n + 1))
         return KnapsackInstance(costs, budget), ids[:cut], ids[cut:]
 
-    def test_random_pools_draw_the_same(self):
+    @staticmethod
+    def _assert_draws_the_same(instance, current, pool, external, seed):
+        """Our draw and the frozen copy's from one seed: the same ids, of
+        the same types, and the same generator state after.  Returns the
+        draw."""
         from test_lazy_filter import baseline
 
+        frozen = baseline.KnapsackInstance(instance.costs, instance.budget)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = get_seq(current, pool, instance, external, ours)
+        want = baseline.randbatch.get_seq(current, pool, frozen, external, theirs)
+        assert got == want
+        assert [type(e) for e in got] == [type(e) for e in want]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        return got
+
+    def test_random_pools_draw_the_same(self):
         rng = np.random.default_rng(31)
         for trial in range(300):
             instance, ids, pool = self._case(rng, boundary=trial % 2 == 1)
-            frozen = baseline.KnapsackInstance(instance.costs, instance.budget)
             current = ids[: int(rng.integers(0, len(ids) + 1))]
             room = instance.budget - instance.cost_of(current)
             externals = [0.0, float(rng.random() * instance.budget)]
@@ -117,12 +130,54 @@ class TestGetSeqMatchesTheFrozenCopy:
             shapes = (list, tuple, lambda p: np.array(p, dtype=np.intp))
             for external in externals:
                 for shape in shapes:
-                    ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
-                    got = get_seq(current, shape(pool), instance, external, ours)
-                    want = baseline.randbatch.get_seq(current, shape(pool), frozen, external, theirs)
-                    assert got == want
-                    assert [type(e) for e in got] == [type(e) for e in want]
-                    assert ours.bit_generator.state == theirs.bit_generator.state
+                    self._assert_draws_the_same(instance, current, shape(pool), external, trial)
+
+    def test_the_most_expensive_candidate_drawn_first(self):
+        # element 1 is the list's largest cost; once it is drawn the room,
+        # 2.0, falls below it, so the list is filtered though all it holds
+        # still fits
+        instance = KnapsackInstance(np.array([1.0, 3.0, 1.0, 1.0]), 5.0)
+        firsts = set()
+        for seed in range(16):
+            seq = self._assert_draws_the_same(instance, [], [0, 1, 2, 3], 0.0, seed)
+            firsts.add(seq[0])
+            assert len(seq) == 3
+        assert 1 in firsts
+
+    def test_an_element_that_stops_fitting_partway(self):
+        # element 3 fits at the start, but once two unit costs are drawn
+        # the room, 2.0, is below its 2.5, and it leaves the list undrawn
+        instance = KnapsackInstance(np.array([1.0, 1.0, 1.0, 2.5]), 4.0)
+        dropped = 0
+        for seed in range(16):
+            seq = self._assert_draws_the_same(instance, [], [3, 0, 1, 2], 0.0, seed)
+            dropped += 3 not in seq
+        assert 0 < dropped < 16
+
+    def test_a_lone_candidate_is_taken_without_a_draw(self):
+        # only element 0 fits next to the current set: no rng call at all,
+        # in the frozen copy's rng.integers(1) either
+        instance = KnapsackInstance(np.array([1.0, 5.0, 5.0, 2.0]), 4.0)
+        for seed in range(4):
+            seq = self._assert_draws_the_same(instance, [3], [1, 0, 2], 0.0, seed)
+            assert seq == [0]
+            # and the one left after a draw of two, which still fits
+            seq = self._assert_draws_the_same(instance, [], [0, 3], 0.0, seed)
+            assert sorted(seq) == [0, 3]
+        fresh = np.random.default_rng(0).bit_generator.state
+        rng = np.random.default_rng(0)
+        assert get_seq([3], [1, 0, 2], instance, 0.0, rng) == [0]
+        assert rng.bit_generator.state == fresh
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63])
+def test_integers_of_one_draws_nothing(seed):
+    # get_seq takes a lone candidate without calling rng.integers(1): the
+    # same draws only while that call returns 0 and leaves the state alone
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    assert rng.integers(1) == 0
+    assert rng.bit_generator.state == state
 
 
 def modular_setup(values, costs, budget):
@@ -533,6 +588,74 @@ def test_empty_draw_drops_the_survivors_as_the_frozen_copy_does(monkeypatch, see
     assert seqs[-1] == []
     assert results[0][1] == ()
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kind", ["cut", "signed_image_summ"])
+def test_a_call_that_queries_and_accepts_nothing_matches_the_frozen_copy(kind):
+    # the threshold is just above every fitting element's density past the
+    # base, so the filter queries them all and none survives: the call
+    # returns before any survival sum or draw, with the frozen copy's
+    # output, charge and generator state, whether the bounds are loose or
+    # absent and whether the budget left is passed in or computed.  Each
+    # queried element's bound falls to its gain
+    from test_lazy_filter import baseline
+
+    rng = np.random.default_rng(41)
+    n = 20
+    if kind == "cut":
+        graph = gen_erdos_renyi(n, 0.4, seed=17)
+
+        def build(package):
+            return package.objectives.CutObjective(package.objectives.WeightedGraph(n, graph.edges))
+    else:
+        sim = similarity_from_features(rng.normal(size=(n, 6))).sim
+
+        def build(package):
+            return package.objectives.ImageSummaryObjective(package.objectives.SimilarityMatrix(sim))
+
+    costs = 0.1 + rng.random(n)
+    for seed in range(12):
+        base = tuple(int(e) for e in rng.choice(n, size=int(rng.integers(0, 4)), replace=False))
+        pool = tuple(e for e in range(n) if e not in base)
+        # every pool element fits, as the frozen copy, which queries the
+        # whole pool, needs for the same charge
+        budget = (0.4 + 0.1 * (seed % 4)) * float(costs.sum())
+        instance = KnapsackInstance(costs, budget)
+        residual = budget - instance.cost_of(base)
+        fits = list(pool)
+        assert costs[fits].max() <= residual
+        gains = CountingOracle(build(submodknap)).marginal_batch(base, fits)
+        # the frozen copy's gains may differ from these in the last bits
+        frozen_gains = baseline.CountingOracle(build(baseline)).marginal_batch(base, fits)
+        top = max(float((np.maximum(gains, frozen_gains) / costs[fits]).max()), 1e-3)
+        threshold = float(np.nextafter(top, np.inf))
+        frozen_oracle = baseline.CountingOracle(build(baseline))
+        frozen_rng = np.random.default_rng(seed)
+        frozen = baseline.rand_batch(
+            frozen_oracle, pool, baseline.RandBatchParams(threshold, 3),
+            baseline.KnapsackInstance(costs, budget), frozen_rng, base=base,
+        )
+        want = (frozen.accepted, frozen.surviving, frozen.damage_count)
+        assert want == ((), (), 0)
+        assert frozen_oracle.ledger.snapshot() == (len(fits) + 1, 1)
+        loose = 1e6 + rng.random(n)
+        for bound in (None, loose):
+            for left in (None, residual):
+                oracle = CountingOracle(build(submodknap))
+                ours_rng = np.random.default_rng(seed)
+                tightened = None if bound is None else bound.copy()
+                out = rand_batch(
+                    oracle, pool, RandBatchParams(threshold, 3), instance, ours_rng,
+                    base=base, bound=tightened, residual=left,
+                )
+                assert (out.accepted, out.surviving, out.damage_count) == want
+                assert out.ceiling == math.inf
+                assert oracle.ledger.snapshot() == frozen_oracle.ledger.snapshot()
+                assert ours_rng.bit_generator.state == frozen_rng.bit_generator.state
+                if bound is not None:
+                    expected = bound.copy()
+                    expected[fits] = gains
+                    assert tightened.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
