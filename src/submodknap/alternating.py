@@ -24,7 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import PrefixRound, as_id_array, checked_ids
+from .core import PrefixRound, _max, as_id_array, checked_ids
 from .estimator import ESTIMATORS, check_grid_params, gamma_and_guesses
 from .randbatch import BOUND_SLACK, RandBatchParams, rand_batch, slackened
 from .unconstrained import unsub_max
@@ -109,9 +109,12 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     any other objective every step filters its whole fitting pool.  Returns
     both selection orders, snapshots of the first candidate after step one
     and the second after step two, the number of such skipped steps with a
-    non-empty pool, and each side's copies of its bounds (below).  Each
-    side also keeps its budget left, ``budget - cost_of(order)``, summed
-    again only when its order grows, and passes it to ``rand_batch``.
+    non-empty pool, each side's copies of its bounds (below), and each
+    side's chain gains: ``f(order[i] | order[:i])`` for every ``i``, taken
+    from the ``gains`` of the ``rand_batch`` call that accepted
+    ``order[i]``, X's list then Y's.  Each side also keeps its budget left,
+    ``budget - cost_of(order)``, summed again only when its order grows,
+    and passes it to ``rand_batch``.
 
     Each side keeps the ``ceiling`` of its last ``rand_batch`` call (+inf
     after a query) and skips, without a call, the steps whose threshold is
@@ -141,6 +144,7 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
     start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
     bounds = (start.copy(), start.copy())
     copies = ([], [])
+    chains = ([], [])
     ceilings = [math.inf, math.inf]
     pool = as_id_array(pool)
     taken = np.zeros(instance.n, dtype=bool)
@@ -167,6 +171,7 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
             ceilings[side] = out.ceiling
             if out.accepted:
                 order.extend(out.accepted)
+                chains[side].extend(out.gains)
                 residuals[side] = budget - instance.cost_of(order)
                 taken[list(out.accepted)] = True
                 pool = pool[~taken[pool]]
@@ -177,10 +182,12 @@ def threshold_loop(oracle, instance, pool, grid, config, rng, singleton_gains):
             x_after_first = tuple(xs)
         elif i == 2:
             y_after_second = tuple(ys)
-    return tuple(xs), tuple(ys), x_after_first, y_after_second, skipped, copies
+    return tuple(xs), tuple(ys), x_after_first, y_after_second, skipped, copies, chains
 
 
-def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=()):
+def augment_prefixes(
+    oracle, instance, order, singleton_gains=None, loop_bounds=(), chain_gains=None
+):
     """Try every prefix of ``order`` with its best feasible extra element.
 
     All prefix extensions plus the full set itself are charged in one
@@ -188,6 +195,13 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
     empty base: row ``i`` is ``order[:i]`` with the elements that fit
     beside it, so the last row charges ``f(order)``; consecutive prefixes
     with the same candidates pass one array, which the oracle checks once.
+    Row ``i``'s candidates are row ``i - 1``'s less the elements outside
+    the prefix that stop fitting (the running cost only grows), as long as
+    ``order[i - 1]`` was one of them.  So each row carries the row before:
+    as is while an upper bound on the cost of its candidates outside the
+    prefix still fits beside the prefix, else filtered down.  Only row 1,
+    and a row whose last order element was no candidate of the row before
+    (rounding at the budget boundary), are built from the whole ground set.
     An id outside the ground set raises ``ValueError`` before any charge.
     For each prefix the winning element is the feasible one (anywhere in
     the ground set, including inside the prefix, where it adds nothing)
@@ -233,10 +247,14 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
     best gain.  Summing forward from ``f({order[0]})``, as the estimator
     read it, with the same gains of the next order elements also estimates
     each prefix's value.  A row whose forward estimate plus ``top`` falls
-    below ``f(order) - margin`` is ruled out: it reads only the gain of its
-    next order element, which the chain needs, and takes ``top`` as its
-    best gain.  The last row is never ruled out, and its estimate is at
-    least ``f(order)``, so ``f(order)`` bounds the best estimate from below.
+    below ``f(order) - margin`` is ruled out: it takes ``top`` as its best
+    gain and reads at most the gain of its next order element, which the
+    chain needs.  ``chain_gains``, when given, holds that gain for every
+    ``i``, ``f(order[i] | order[:i])`` bit for bit as the oracle answers it
+    (``threshold_loop`` returns each side's); a ruled-out row then takes it
+    from there and reads nothing.  The last row is never ruled out, and its
+    estimate is at least ``f(order)``, so ``f(order)`` bounds the best
+    estimate from below.
 
     With ``L = len(order)`` the margin is ``BOUND_SLACK`` times
     ``max(1, 2|f(order)| + |f({order[0]})| + 2 L top)``.  The chain's
@@ -260,25 +278,36 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
     costs = instance.costs
     budget = instance.budget
     row_cands = [np.empty(0, dtype=np.intp)]  # row 0: the empty base, alone
-    nexts = []  # the next order element's position among each row's candidates, or None
+    links = []  # whether each row's next order element is among its candidates
     in_prefix = np.zeros(instance.n, dtype=bool)
     prefix_cost = 0.0
+    cap = -math.inf  # no candidate of the last row outside its prefix costs more
     for i, e in enumerate(order, start=1):
         in_prefix[e] = True
         prefix_cost += costs[e]
-        fits = np.nonzero((costs + prefix_cost <= budget) | in_prefix)[0]
-        if nexts and nexts[-1] is not None and fits.size == row_cands[-1].size:
-            # e was a candidate of the row before, so that row's candidates
-            # include these; as many means the same, passed as one array
-            # that the oracle checks once
-            fits = row_cands[-1]
+        # past row 1, while e was a candidate of the row before, that row's
+        # candidates hold these: they are the same while cap still fits,
+        # and passed as one array that the oracle checks once
+        if not (links and links[-1]):
+            fit = costs + prefix_cost <= budget
+            fits = np.nonzero(fit | in_prefix)[0]
+            cap = _max(costs[fit & ~in_prefix], initial=-math.inf)
+        elif cap + prefix_cost > budget:
+            last = row_cands[-1]
+            last_costs = costs[last]
+            fit = last_costs + prefix_cost <= budget
+            inside = in_prefix[last]
+            fits = last[fit | inside]
+            if fits.size == last.size:
+                fits = last
+            cap = _max(last_costs[fit & ~inside], initial=-math.inf)
         row_cands.append(fits)
-        nexts.append(_position(fits, order[i]) if i < len(order) else None)
+        links.append(i < len(order) and costs[order[i]] + prefix_cost <= budget)
     rows = oracle.evaluate_extensions(PrefixRound((), order, row_cands))
     full_value = oracle.exact_value(order)
     if not order:
         return full_value, None
-    whole = None not in nexts[:-1]
+    whole = all(links[:-1])
 
     bound = None
     fwd, top, floor = math.inf, 0.0, -math.inf  # rules out no row
@@ -294,18 +323,22 @@ def augment_prefixes(oracle, instance, order, singleton_gains=None, loop_bounds=
     augmented, best_gains, steps, ruled = [], [], [], []
     copies = iter(loop_bounds)
     copy = next(copies, None)
-    for i, (cands, nxt) in enumerate(zip(row_cands[1:], nexts), start=1):
+    for i, (cands, link) in enumerate(zip(row_cands[1:], links), start=1):
         if bound is not None:
             while copy is not None and copy[0] <= i:
                 np.minimum(bound, copy[1], out=bound)
                 copy = next(copies, None)
             bound[order[i - 1]] = 0.0  # it gains exactly 0 from here on
-        if nxt is not None and fwd + top < floor:
-            step = rows.read(i, np.array([nxt], dtype=np.intp))[0]
+        if link and fwd + top < floor:
+            if chain_gains is None:
+                step = rows.read(i, np.array([_position(cands, order[i])]))[0]
+            else:
+                step = chain_gains[i]
             ruled.append(i - 1)
             augmented.append(None)
             best_gains.append(top)
         else:
+            nxt = _position(cands, order[i]) if link else None
             if bound is None:
                 win, gain, step = _whole_row_argmax(rows, i, nxt)
             else:
@@ -396,8 +429,10 @@ def ast(oracle, instance, config=None):
     the solver's own adaptivity stays visible.  Its singleton gains start
     the threshold loop's bounds, and the loop's copies of each side's
     bounds start that side's prefix augmentation, so augmentation computes
-    only the gains the sampler has not already ruled out; what is charged
-    is the same either way.
+    only the gains the sampler has not already ruled out.  The loop's chain
+    gains, ``f(order[i] | order[:i])`` as the sampler read them, give
+    augmentation's ruled-out rows their one gain, so those rows compute
+    nothing.  What is charged is the same either way.
     """
     if config is None:
         config = AstConfig()
@@ -434,7 +469,7 @@ def ast(oracle, instance, config=None):
         estimate.value, instance.budget, epsilon=config.epsilon, delta=config.delta
     )
 
-    x_order, y_order, x_after_first, y_after_second, skipped, (x_bounds, y_bounds) = (
+    x_order, y_order, x_after_first, y_after_second, skipped, bound_copies, chains = (
         threshold_loop(oracle, instance, rest, grid, config, rng, estimate.singleton_gains)
     )
     loop_rounds = ledger.adaptive_rounds
@@ -448,8 +483,12 @@ def ast(oracle, instance, config=None):
     unsub_rounds = ledger.adaptive_rounds
 
     gains = estimate.singleton_gains
-    x_value, x_best = augment_prefixes(oracle, instance, x_order, gains, x_bounds)
-    y_value, y_best = augment_prefixes(oracle, instance, y_order, gains, y_bounds)
+    x_value, x_best = augment_prefixes(
+        oracle, instance, x_order, gains, bound_copies[0], chains[0]
+    )
+    y_value, y_best = augment_prefixes(
+        oracle, instance, y_order, gains, bound_copies[1], chains[1]
+    )
     end_queries, end_rounds = ledger.snapshot()
 
     # the final argmax: max keeps the first of equal values, so ties go to

@@ -94,6 +94,12 @@ def density_greedy_trace(oracle, instance):
     row.  When none does, the step takes its bound update, stop test and
     pick on that one gain.  An element whose slackened bound is
     non-positive is never read again.  On any other objective every row is read whole.
+
+    The candidates' costs and bound densities are carried from step to
+    step: each step filters them with the mask that filters the
+    candidates, and recomputes the density only of the elements it read,
+    whose bounds alone changed.  Elementwise arithmetic gives each entry
+    the bits of the whole-array computation.
     """
     costs = instance.costs
     budget = instance.budget
@@ -105,18 +111,21 @@ def density_greedy_trace(oracle, instance):
     fits = np.nonzero(costs <= budget)[0]
     prune = getattr(oracle.objective, "submodular", False)
     bound = np.full(instance.n, np.inf)
+    # aligned to fits: their costs and, once read, slackened(bound) / cost
+    fit_costs = costs[fits]
+    ceiling = np.empty(fits.size)
     j = None  # the last pick's position in fits
     while True:
-        keep = used + costs[fits] <= budget
+        keep = used + fit_costs <= budget
         if j is not None:
             keep[j] = False  # the last pick leaves the candidates
         fits = fits[keep]
         if not fits.size:
             break
+        fit_costs = fit_costs[keep]
+        ceiling = ceiling[keep]
         answers = oracle.evaluate_extensions([(selected, fits)])
-        fit_costs = costs[fits]
         if prune and selected:
-            ceiling = slackened(bound[fits]) / fit_costs
             top = int(np.argmax(ceiling))
             gain = answers.read(0, np.array([top]))[0]
             live = ceiling >= gain / fit_costs[top] if gain > 0.0 else ceiling > 0.0
@@ -124,7 +133,9 @@ def density_greedy_trace(oracle, instance):
             read = np.flatnonzero(live)
             if read.size == 1:
                 # top alone can win: its bound, stop test and pick on the
-                # one scalar, as the arrays below would take them
+                # one scalar, as the arrays below would take them; its
+                # ceiling is not needed again, since it is picked or the
+                # run stops
                 best = int(fits[top])
                 bound[best] = min(gain, bound[best])
                 if not gain > 0.0:
@@ -141,6 +152,7 @@ def density_greedy_trace(oracle, instance):
         if prune:
             ids = fits[read]
             bound[ids] = np.minimum(bound[ids], gains)
+            ceiling[read] = slackened(bound[ids]) / fit_costs[read]
         if not selected:
             singles[fits] = gains
         # argmax keeps the first of equal densities: positions ascend, and

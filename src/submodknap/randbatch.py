@@ -61,12 +61,23 @@ class RandBatchOutput:
     ``ceiling`` is +inf when the call queried.  When it queried nothing, it
     is the largest density the entry filter tested: ``slackened(bound[u]) /
     c(u)`` over the pool elements ``u`` that fit, -inf when none does.
+
+    ``gains`` holds, aligned to ``accepted``, each element's gain past the
+    call's base plus the elements accepted before it, bit for bit what the
+    oracle answers for that base; the sampler read each one on its way
+    (see :func:`rand_batch`).
     """
 
     accepted: tuple
     surviving: tuple
     damage_count: int = 0
     ceiling: float = np.inf
+    gains: tuple = ()
+
+
+# the output of every call whose filter queried and kept no element; the
+# output is frozen, so one instance serves them all
+_NONE_SURVIVED = RandBatchOutput((), (), 0)
 
 
 def get_seq(current, pool, instance, external_cost, rng, pool_costs=None):
@@ -223,6 +234,12 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None, residua
     one id array; each sweep reads their ids and costs from it once, as
     the lists ``get_seq`` draws from, and sends its groups to the oracle as
     one :class:`~submodknap.core.PrefixRound`, checked once.
+
+    The output's ``gains`` cost no extra read.  A sweep's first pick is a
+    survivor of the check that made the survivors, whose base is row 0's,
+    so its gain is that check's, taken at its position there; the gain of
+    each later pick ``seq[t]`` is the step gain the damage rule read from
+    row ``t``.
     """
     base = tuple(base)
     if bound is None:
@@ -249,10 +266,15 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None, residua
     high = gains / pool_costs[live_mask] >= threshold
     survivors = live[high]
     if not survivors.size:
-        return RandBatchOutput((), (), 0)
+        return _NONE_SURVIVED
     surviving_gain = _sum(np.where(high, gains, 0.0))
+    # the check that made the survivors, as ids and their gains: for the
+    # first sweep the filter's, over the survivors alone, and for later
+    # ones row t*'s, over the sweep's pool
+    check_ids, check_gains = survivors.tolist(), gains[high]
 
     accepted = []
+    accepted_gains = []
     accepted_cost = 0.0
     count = 0
 
@@ -291,6 +313,11 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None, residua
         # rule can fire there unless rounding makes it (see the docstring)
         row_0_inert = (1.0 - epsilon) * pool_cost < pool_cost and epsilon * surviving_gain > 0.0
         damage_prefix = 0.0  # negative marginals of the drawn elements so far
+        # every step gain read below is an accepted pick's, as it joins;
+        # past an inert row 0 the reads start at t = 1, so seq[0] is
+        # accepted, at its gain in the check that made the survivors
+        if row_0_inert:
+            accepted_gains.append(check_gains[check_ids.index(seq[0])])
         for t in range(1 if row_0_inert else 0, d + 1):
             gains = rows[t]
             gains_t = row_form(gains)
@@ -308,6 +335,7 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None, residua
             if surv_index is None:
                 surv_index = {e: j for j, e in enumerate(ids)}
             step_gain = gains_t[surv_index[seq[t]]]
+            accepted_gains.append(step_gain)
             if step_gain < 0.0:
                 damage_prefix += -step_gain
         t_star = t
@@ -323,5 +351,8 @@ def rand_batch(oracle, pool, params, instance, rng, base=(), bound=None, residua
         # elements just accepted gain exactly 0 there, so they drop out.
         # numpy indexes with a list of bools as with a bool array
         survivors = survivors[high]
+        check_ids, check_gains = ids, gains_t
 
-    return RandBatchOutput(tuple(accepted), tuple(survivors.tolist()), count)
+    return RandBatchOutput(
+        tuple(accepted), tuple(survivors.tolist()), count, gains=tuple(accepted_gains)
+    )

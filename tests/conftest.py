@@ -170,14 +170,16 @@ def naive_threshold_loop(oracle, instance, pool, grid, config, rng, singleton_ga
 
     Same bounds and the same per-side order, same returns: the two orders,
     the two snapshots, the number of steps with a non-empty pool that made
-    no query, and each side's ``(len(order), bounds copy)`` after every call
-    that queried, on a ``submodular`` objective.  Nothing is skipped without
-    a call, so every step's filter runs against its own threshold; a call
-    that queries nothing lowers no bound, so it keeps no copy.
+    no query, each side's ``(len(order), bounds copy)`` after every call
+    that queried, on a ``submodular`` objective, and each side's accepted
+    gains, from the ``gains`` of every call's output.  Nothing is skipped
+    without a call, so every step's filter runs against its own threshold;
+    a call that queries nothing lowers no bound, so it keeps no copy.
     """
     xs, ys = [], []
     start = np.full(instance.n, np.inf) if singleton_gains is None else singleton_gains
     sides = ((xs, start.copy(), []), (ys, start.copy(), []))
+    chains = ([], [])
     pool = [int(e) for e in pool]
     use_bounds = getattr(oracle.objective, "submodular", False)
     snapshots = [(), ()]
@@ -185,7 +187,8 @@ def naive_threshold_loop(oracle, instance, pool, grid, config, rng, singleton_ga
     for i in range(1, grid.num_thresholds + 1):
         theta = grid.gamma * (1.0 - config.epsilon) ** i
         params = RandBatchParams(threshold=theta, accept_cap=grid.accept_cap, epsilon=config.epsilon)
-        order, bound, copies = sides[1 - i % 2]
+        side = 1 - i % 2
+        order, bound, copies = sides[side]
         rounds = oracle.ledger.adaptive_rounds
         out = rand_batch(
             oracle, pool, params, instance, rng, base=tuple(order),
@@ -194,12 +197,14 @@ def naive_threshold_loop(oracle, instance, pool, grid, config, rng, singleton_ga
         queried = oracle.ledger.adaptive_rounds > rounds
         skipped += bool(pool) and not queried
         order.extend(out.accepted)
+        chains[side].extend(out.gains)
         pool = [e for e in pool if e not in out.accepted]
         if use_bounds and queried:
             copies.append((len(order), bound.copy()))
         if i <= 2:
             snapshots[i - 1] = tuple(sides[i - 1][0])
-    return tuple(xs), tuple(ys), snapshots[0], snapshots[1], skipped, (sides[0][2], sides[1][2])
+    copies = (sides[0][2], sides[1][2])
+    return tuple(xs), tuple(ys), snapshots[0], snapshots[1], skipped, copies, chains
 
 
 def naive_density_greedy(oracle, instance):

@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodknap import (
     ESTIMATORS,
@@ -152,6 +154,61 @@ class TestAugmentPrefixes:
         assert oracle.ledger.snapshot() == naive_oracle.ledger.snapshot() == (206, 1)
 
 
+class _RecordingOracle(CountingOracle):
+    """A counting oracle that keeps the last round it was handed."""
+
+    def evaluate_extensions(self, groups):
+        self.issued = groups
+        return super().evaluate_extensions(groups)
+
+
+# costs that tie, and whose sums land on a budget or round past it
+_ROW_COSTS = st.sampled_from([0.1, 0.2, 0.3, 0.25, 0.5, 1.0, 1.0 / 3.0, 0.7])
+
+
+def _assert_carried_rows(costs, budget, order):
+    """Every prefix's row of ``augment_prefixes`` on ``order``, carried from
+    the row before or filtered down, is the elements that fit beside the
+    prefix, plus the prefix; two consecutive rows are one array exactly
+    when they are equal.  Returns the rows."""
+    n = len(costs)
+    instance = KnapsackInstance(np.array(costs), budget)
+    oracle = _RecordingOracle(ModularObjective(np.arange(1.0, n + 1.0)))
+    augment_prefixes(oracle, instance, order)
+    rows = oracle.issued.candidates
+    assert len(rows) == len(order) + 1 and rows[0].size == 0
+    in_prefix = np.zeros(n, dtype=bool)
+    prefix_cost = 0.0
+    for i, e in enumerate(order, start=1):
+        in_prefix[e] = True
+        prefix_cost += costs[e]
+        expected = np.nonzero((instance.costs + prefix_cost <= budget) | in_prefix)[0]
+        assert np.array_equal(rows[i], expected)
+        if i > 1:
+            assert (rows[i] is rows[i - 1]) == np.array_equal(rows[i], rows[i - 1])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), costs=st.lists(_ROW_COSTS, min_size=1, max_size=10))
+def test_carried_rows_are_the_fitting_elements(data, costs):
+    # tied costs, and budgets that some costs sum to exactly, in order or
+    # not, so that sums land on the budget or round just past it
+    n = len(costs)
+    order = tuple(data.draw(st.permutations(range(n))))[: data.draw(st.integers(0, n))]
+    subset = data.draw(st.lists(st.sampled_from(costs), min_size=1, max_size=n))
+    budget = data.draw(st.sampled_from([sum(subset), sum(sorted(subset)), 2.5 * max(costs)]))
+    _assert_carried_rows(costs, budget, order)
+
+
+def test_a_row_after_a_broken_link_is_rebuilt():
+    # 0.1 + 0.2 + 0.3 rounds past 0.6: 0 stops fitting beside (2, 1) by
+    # rounding, so the row of (2, 1, 0) cannot be carried and is built from
+    # the whole ground set; 3 fits beside (2, 1) but not beside (2, 1, 0)
+    rows = _assert_carried_rows([0.3, 0.2, 0.1, 0.25], 0.6, (2, 1, 0, 3))
+    assert rows[2].tolist() == [1, 2, 3] and rows[3].tolist() == [0, 1, 2]
+
+
 class _RisingModular(ModularObjective):
     """Modular values whose gains rise by ``rise[u]``, relative, per element
     of the base, as rounding can make a submodular objective's gains rise;
@@ -207,27 +264,47 @@ def _ruled_out(reads, order):
     return [i for i in range(1, len(order)) if reads[i][:1] == [(order[i],)]]
 
 
+def _exact_chain(objective, order):
+    """``f(order[i] | order[:i])`` for every ``i``, each from its own
+    ``gains`` call on a state built as the oracle builds it."""
+    return [
+        objective.gains(state_of(objective, order[:i]), np.array([e]))[0]
+        for i, e in enumerate(order)
+    ]
+
+
 def _assert_matches_naive(
-    objective, instance, order, singleton_gains, read_back=False, loop_bounds=()
+    objective, instance, order, singleton_gains, read_back=False, loop_bounds=(),
+    chain_gains=None,
 ):
     """Returns the naive best and the rows ``augment_prefixes`` ruled out;
-    ``read_back`` says whether some of them came back into reach."""
+    ``read_back`` says whether some of them came back into reach.  With
+    ``chain_gains`` the function runs once more with them: the same bits
+    and charges, and the same reads less each ruled-out row's read of its
+    next order element's gain."""
     naive_oracle = CountingOracle(objective)
     naive_full, _, naive_best = naive_augment_prefixes(naive_oracle, instance, order)
-    log = GainsLog(objective)
-    oracle = CountingOracle(log)
-    full_value, best = augment_prefixes(oracle, instance, order, singleton_gains, loop_bounds)
-    assert full_value.hex() == naive_full.hex()
-    if naive_best is None:
-        assert best is None
-    else:
-        assert best[0] == naive_best[0]
-        assert best[1].hex() == naive_best[1].hex()
-    assert oracle.ledger.snapshot() == naive_oracle.ledger.snapshot()
     order = tuple(int(e) for e in order)
-    reads = _row_reads(log, order)
+    runs = []
+    for chain in (None,) if chain_gains is None else (None, chain_gains):
+        log = GainsLog(objective)
+        oracle = CountingOracle(log)
+        full_value, best = augment_prefixes(
+            oracle, instance, order, singleton_gains, loop_bounds, chain
+        )
+        assert full_value.hex() == naive_full.hex()
+        if naive_best is None:
+            assert best is None
+        else:
+            assert best[0] == naive_best[0]
+            assert best[1].hex() == naive_best[1].hex()
+        assert oracle.ledger.snapshot() == naive_oracle.ledger.snapshot()
+        runs.append(_row_reads(log, order))
+    reads = runs[0]
     ruled = _ruled_out(reads, order)
     assert any(len(reads[i]) > 1 for i in ruled) == read_back
+    if chain_gains is not None:
+        assert runs[1] == [r[1:] if i in ruled else r for i, r in enumerate(reads)]
     return naive_best, ruled
 
 
@@ -278,16 +355,21 @@ class TestAugmentPrefixesMatchesNaive:
             result = ast(CountingOracle(objective), instance, AstConfig(seed=3))
             names = ("best_x_aug", "best_y_aug")
             orders = (result.x_order, result.y_order)
-            for name, order, copies in zip(names, orders, loops[-1][5]):
-                naive_best, out = _assert_matches_naive(objective, instance, order, gains)
+            for name, order, copies, chain in zip(names, orders, loops[-1][5], loops[-1][6]):
+                naive_best, out = _assert_matches_naive(
+                    objective, instance, order, gains, chain_gains=chain
+                )
                 assert result.candidates.get(name) == naive_best
                 ruled += len(out)
                 assert _assert_matches_naive(
-                    objective, instance, order, gains, loop_bounds=copies
+                    objective, instance, order, gains, loop_bounds=copies, chain_gains=chain
                 ) == (naive_best, out)
             for _ in range(4):
                 order = _random_order(instance, rng)
-                ruled += len(_assert_matches_naive(objective, instance, order, gains)[1])
+                chain = _exact_chain(objective, order)
+                ruled += len(
+                    _assert_matches_naive(objective, instance, order, gains, chain_gains=chain)[1]
+                )
                 assert _assert_matches_naive(objective, instance, order, None)[1] == []
         if kind == "signed_image_summ":
             assert ruled == 0
@@ -295,10 +377,12 @@ class TestAugmentPrefixesMatchesNaive:
             assert ruled > 0
 
     @pytest.mark.parametrize("kind", ["cut", "revenue"])
-    def test_longer_orders_rule_rows_out(self, kind):
+    def test_longer_orders_rule_rows_out(self, monkeypatch, kind):
         # n = 120 and budgets up to half the total cost: the solver's orders
         # and random ones run to dozens of elements, and most of their rows
-        # are ruled out
+        # are ruled out; with the chain gains, the threshold loop's for the
+        # solver's orders, those rows read nothing
+        loops = _record_loops(monkeypatch)
         rng = np.random.default_rng(DIFFERENTIAL_KINDS.index(kind))
         for seed, budget_fraction in ((1, 0.3), (2, 0.5)):
             graph = gen_erdos_renyi(120, 0.2, seed=seed)
@@ -310,9 +394,12 @@ class TestAugmentPrefixesMatchesNaive:
             gains = ESTIMATORS["greedy"](CountingOracle(objective), instance).singleton_gains
             result = ast(CountingOracle(objective), instance, AstConfig(seed=seed))
             orders = [result.x_order, result.y_order, _random_order(instance, rng)]
-            for order in orders:
+            chains = [*loops[-1][6], _exact_chain(objective, orders[2])]
+            for order, chain in zip(orders, chains):
                 assert len(order) >= 10
-                _, ruled = _assert_matches_naive(objective, instance, order, gains)
+                _, ruled = _assert_matches_naive(
+                    objective, instance, order, gains, chain_gains=chain
+                )
                 assert ruled
 
     def test_element_joining_with_a_negative_gain(self):
@@ -399,11 +486,17 @@ class TestAugmentPrefixesMatchesNaive:
         objective = ModularObjective([1.0, 1.0, 1.0, 2.0])
         instance = KnapsackInstance(np.array([1.0, 1.0, 1.0, 2.0]), 3.0)
         gains = np.array([1.0 - 1e-6, 1.0, 1.0, 2.0])
-        best, ruled = _assert_matches_naive(objective, instance, (0, 1, 2), gains, read_back=True)
+        chain = _exact_chain(objective, (0, 1, 2))
+        best, ruled = _assert_matches_naive(
+            objective, instance, (0, 1, 2), gains, read_back=True, chain_gains=chain
+        )
         assert best == ((0, 3), 3.0) and ruled == [1]
         log = GainsLog(objective)
         augment_prefixes(CountingOracle(log), instance, (0, 1, 2), gains)
         assert _row_reads(log, (0, 1, 2))[1] == [(1,), (0, 1, 2, 3)]
+        log = GainsLog(objective)
+        augment_prefixes(CountingOracle(log), instance, (0, 1, 2), gains, (), chain)
+        assert _row_reads(log, (0, 1, 2))[1] == [(0, 1, 2, 3)]
 
     def test_the_last_row_is_never_ruled_out(self):
         # f({0}) as read, 0.5, plus top falls far below f(order) = 1, but
@@ -441,10 +534,10 @@ def test_benchmark_augmentation_reads_few_argmaxes(objective, n, p):
 
 
 def _phase_reads(patch, objective, instance, seed):
-    """``{phase: (gains computed, candidates charged)}`` of density greedy
-    and of prefix augmentation (both orders together) in one ``ast`` solve
-    with solver seed ``seed``; each group's base query is left out of the
-    charged candidates."""
+    """``{phase: (gains computed, candidates charged, gains calls)}`` of
+    density greedy and of prefix augmentation (both orders together) in one
+    ``ast`` solve with solver seed ``seed``; each group's base query is left
+    out of the charged candidates."""
     log = GainsLog(objective)
     reads = {}
 
@@ -455,8 +548,9 @@ def _phase_reads(patch, objective, instance, seed):
             computed = sum(map(len, log.candidates[calls:]))
             charged = oracle.ledger.total_queries - queries
             charged -= bases(args, oracle.ledger.adaptive_rounds - rounds)
-            old = reads.get(phase, (0, 0))
-            reads[phase] = (old[0] + computed, old[1] + charged)
+            old = reads.get(phase, (0, 0, 0))
+            made = len(log.candidates) - calls
+            reads[phase] = (old[0] + computed, old[1] + charged, old[2] + made)
             return out
 
         return wrapped
@@ -473,21 +567,26 @@ def _phase_reads(patch, objective, instance, seed):
 
 @pytest.mark.parametrize(
     "objective, n, p, greedy_cap, augment_cap",
-    [("cut", 200, 0.2, 600, None), ("image_summ", 500, 0.0, 1800, 1800)],
+    [("cut", 200, 0.2, 600, 300), ("image_summ", 500, 0.0, 1800, 1800)],
 )
 def test_benchmark_phases_read_few_gains(monkeypatch, objective, n, p, greedy_cap, augment_cap):
     # greedy computes 506 of the 9,594 gains it is charged for on
     # cut-er200 (9,588 when it skipped only the elements whose gain was
-    # non-positive), and 1,738 of 6,422 on imsum-500 (3,026); there
-    # augmentation, starting from the threshold loop's bounds, computes
-    # 1,497 gains at seed 0 and 1,700 at seed 1 (2,550 and 2,912 from
-    # singleton bounds alone)
+    # non-positive), and 1,738 of 6,422 on imsum-500 (3,026).  On
+    # cut-er200 augmentation computes 267 gains in 12 gains calls at seed
+    # 0 and 268 in 9 at seed 1: its ruled-out rows take their next order
+    # element's gain from the threshold loop and read nothing (345 in 90
+    # and 346 in 87 when each read that gain).  On imsum-500 it starts
+    # from the threshold loop's bounds, rules out no row and computes
+    # 1,497 gains in 34 calls at seed 0 and 1,700 in 36 at seed 1 (2,550
+    # and 2,912 gains from singleton bounds alone)
+    augment_calls = {"cut": 16, "image_summ": 40}[objective]
     built, instance = benchmark_instance(objective, n, p)
     for seed in (0, 1):
         reads = _phase_reads(monkeypatch, built, instance, seed)
         assert reads["greedy"][0] <= greedy_cap
-        if augment_cap is not None:
-            assert reads["augment"][0] <= augment_cap
+        assert reads["augment"][0] <= augment_cap
+        assert reads["augment"][2] <= augment_calls
 
 
 def test_signed_image_summ_phases_read_every_gain(monkeypatch):
@@ -593,15 +692,57 @@ class TestLoopBoundCopies:
             assert checked > 0
 
 
+class TestLoopChainGains:
+    @pytest.mark.parametrize("kind", ["cut", "revenue", "image_summ", "signed_image_summ", "sum"])
+    def test_each_accepted_gain_is_the_oracles(self, monkeypatch, kind):
+        # each side's gains from the loop, bit for bit the gain of order[i]
+        # past order[:i] as the objective answers it, at acceptance caps 1
+        # to 3 and budgets up to nearly the whole cost, where gains turn
+        # negative; each call's gains align with what it accepted
+        outputs = []
+        real = alternating.rand_batch
+
+        def recording(*args, **kwargs):
+            outputs.append(real(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(alternating, "rand_batch", recording)
+        rng = np.random.default_rng([DIFFERENTIAL_KINDS.index(kind), 9])
+        checked = 0
+        for fraction in (0.1, 0.3, 0.6, 0.9):
+            objective, costs = _differential_case(kind, rng)
+            instance = KnapsackInstance(costs, fraction * float(np.sort(costs).sum()))
+            estimate = ESTIMATORS["greedy"](CountingOracle(objective), instance)
+            grid = gamma_and_guesses(estimate.value, instance.budget)
+            _, rest = split_ground(instance, AstConfig().epsilon)
+            for cap in (1, 2, 3):
+                outputs.clear()
+                out = threshold_loop(
+                    CountingOracle(objective), instance, rest, grid._replace(accept_cap=cap),
+                    AstConfig(seed=cap), np.random.default_rng(cap), estimate.singleton_gains,
+                )
+                for call in outputs:
+                    assert len(call.gains) == len(call.accepted)
+                for order, chain in zip(out[:2], out[6], strict=True):
+                    assert len(chain) == len(order)
+                    exact = _exact_chain(objective, order)
+                    assert [float(g).hex() for g in chain] == [float(g).hex() for g in exact]
+                    checked += len(order)
+        assert checked > 50
+
+
 def _assert_same_loop(out, reference):
     """Two ``threshold_loop`` returns are the same: the first five items
-    equal, and each side's bound copies entry by entry."""
+    equal, each side's bound copies entry by entry, and each side's
+    accepted gains bit for bit."""
     assert out[:5] == reference[:5]
     for copies, expected in zip(out[5], reference[5], strict=True):
         assert len(copies) == len(expected)
         for (length, bound), (expected_length, expected_bound) in zip(copies, expected):
             assert length == expected_length
             assert np.array_equal(bound, expected_bound)
+    for gains, expected in zip(out[6], reference[6], strict=True):
+        assert [float(g).hex() for g in gains] == [float(g).hex() for g in expected]
 
 
 def _record_calls(patch):

@@ -18,7 +18,7 @@ from submodknap import (
     similarity_from_features,
 )
 from submodknap.randbatch import SMALL_POOL, _rules, _small_rules, slackened
-from conftest import GainsLog
+from conftest import GainsLog, state_of
 
 
 class TestParams:
@@ -555,6 +555,74 @@ def test_row_0_is_read_when_its_damage_rule_underflows():
         outs.append((out.accepted, out.surviving, out.damage_count))
     assert outs[0] == outs[1] == ((), (0, 1, 2, 3), 3)
     assert logs[0].bases == [(), (), (), ()]  # the filter, then row 0 of three sweeps
+
+
+def _assert_exact_gains(objective, base, out):
+    """Each of ``out``'s gains is, bit for bit, the gain of its accepted
+    element past ``base`` plus the elements accepted before it."""
+    assert len(out.gains) == len(out.accepted)
+    for j, e in enumerate(out.accepted):
+        exact = objective.gains(state_of(objective, base + out.accepted[:j]), np.array([e]))[0]
+        assert float(out.gains[j]).hex() == float(exact).hex()
+
+
+def test_accepted_gains_are_the_oracles():
+    # five objectives, the submodular ones with their singleton gains as
+    # bounds and signed image_summ without, random bases, low floors,
+    # budgets up to nearly the whole cost and acceptance caps 1 to 3, so
+    # that gains turn negative, the damage rule fires and some calls stop
+    # with survivors left
+    from test_alternating import _differential_case, DIFFERENTIAL_KINDS
+
+    stopped = 0
+    for kind in ("cut", "revenue", "image_summ", "signed_image_summ", "sum"):
+        rng = np.random.default_rng([DIFFERENTIAL_KINDS.index(kind), 9])
+        accepted = 0
+        for seed in range(40):
+            if seed % 10 == 0:
+                objective, costs = _differential_case(kind, rng)
+                n = costs.size
+                singles = np.array([objective([e]) for e in range(n)])
+                dens = singles / costs
+            instance = KnapsackInstance(costs, (0.3 + 0.2 * (seed % 4)) * float(costs.sum()))
+            perm = rng.permutation(n).tolist()
+            base = tuple(perm[: seed % 4 * n // 8])
+            params = RandBatchParams(
+                threshold=(0.001 + 0.05 * (seed % 5)) * float(dens.max()), accept_cap=1 + seed % 3
+            )
+            bound = singles.copy() if objective.submodular else None
+            out = rand_batch(
+                CountingOracle(objective), perm[len(base):], params, instance,
+                np.random.default_rng(seed), base=base, bound=bound,
+            )
+            _assert_exact_gains(objective, base, out)
+            accepted += len(out.accepted)
+            stopped += bool(out.surviving)
+        assert accepted > 10
+    assert stopped > 0
+
+
+def test_accepted_gains_when_row_0_is_read():
+    # one gain of 1 and three of the least subnormal: once element 0 is
+    # accepted, 0.1 times the survivors' gain underflows to 0, so later
+    # sweeps read row 0 and the damage rule fires there, as in
+    # test_row_0_is_read_when_its_damage_rule_underflows.  The gains stay
+    # the oracle's whichever sweep accepted what
+    objective = ModularObjective(np.array([1.0, 5e-324, 5e-324, 5e-324]))
+    instance = KnapsackInstance(np.ones(4), 10.0)
+    row_0_reads = 0
+    for seed in range(10):
+        log = GainsLog(objective)
+        out = rand_batch(
+            CountingOracle(log), tuple(range(4)), RandBatchParams(threshold=5e-324, accept_cap=3),
+            instance, np.random.default_rng(seed),
+        )
+        _assert_exact_gains(objective, (), out)
+        assert 0 in out.accepted
+        # a base read twice in a row: a sweep's row 0, after the check
+        # that made its survivors
+        row_0_reads += any(a == b for a, b in zip(log.bases, log.bases[1:]))
+    assert row_0_reads > 0
 
 
 @pytest.mark.parametrize("seed", range(20))
